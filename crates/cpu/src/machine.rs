@@ -159,9 +159,10 @@ pub struct Machine {
 /// A frozen copy of a [`Machine`] at one tick boundary, captured by
 /// [`Machine::snapshot`] and revived by [`Machine::restore`].
 ///
-/// Physical memory is stored sparsely (nonzero pages only); everything
-/// else is a plain copy. Profiling state is excluded — see
-/// [`Machine::snapshot`] for the determinism argument.
+/// Physical memory is stored sparsely (nonzero pages only), as shared
+/// immutable pages; everything else is a plain copy. Profiling state
+/// is excluded — see [`Machine::snapshot`] for the determinism
+/// argument.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
     isa: IsaKind,
@@ -738,6 +739,19 @@ impl Machine {
     /// observes execution without influencing it, so a machine restored
     /// without a profile replays the exact same cycle-by-cycle schedule.
     pub fn snapshot(&self) -> MachineSnapshot {
+        self.snapshot_with(self.mem.snapshot())
+    }
+
+    /// [`Machine::snapshot`] with physical memory captured incrementally
+    /// from `base`, an earlier snapshot of this machine, and `dirty`,
+    /// every page written since `base` was taken (see
+    /// [`PhysMem::snapshot_since`]). The result equals what
+    /// [`Machine::snapshot`] would capture, but costs no scan of memory.
+    pub fn snapshot_since(&self, base: &MachineSnapshot, dirty: &PageSet) -> MachineSnapshot {
+        self.snapshot_with(self.mem.snapshot_since(&base.mem, dirty))
+    }
+
+    fn snapshot_with(&self, mem: MemSnapshot) -> MachineSnapshot {
         MachineSnapshot {
             isa: self.isa,
             cost: self.cost,
@@ -745,7 +759,7 @@ impl Machine {
             dtext: Arc::clone(&self.dtext),
             text_base: self.text_base,
             cores: self.cores.clone(),
-            mem: self.mem.snapshot(),
+            mem,
             caches: self.caches.clone(),
         }
     }

@@ -9,6 +9,15 @@
 //! bit-identical to a boot-and-replay run — `tests/checkpoint.rs` keeps
 //! that invariant honest with a differential comparison.
 //!
+//! Capture is incremental. A snapshot's memory is a list of shared,
+//! immutable 4 KiB pages, and `PhysMem` marks every page it writes.
+//! Only the first rung scans all of physical memory for nonzero pages;
+//! each later rung starts from its predecessor's page list, copies
+//! afresh just the pages written since (the same dirty set the rung
+//! records for reconvergence), and shares every other page by
+//! reference. A rung therefore costs the pages one segment wrote, not
+//! a 64 MiB scan, and the ladder holds each unchanged page once.
+//!
 //! On top of resume, the same ladder enables *reconvergence pruning*
 //! ([`CheckpointSet::try_reconverge`]): after a register or flag fault
 //! lands, the faulty run is paused at the next few checkpoint marks and
@@ -88,6 +97,12 @@ impl CheckpointSet {
         self.snaps.is_empty()
     }
 
+    /// The rungs in capture order: each machine-cycle mark with the
+    /// snapshot taken there.
+    pub fn rungs(&self) -> impl Iterator<Item = (u64, &KernelSnapshot)> {
+        self.snaps.iter().map(|rung| (rung.mark, &rung.snap))
+    }
+
     /// Runs `kernel` to completion while capturing between `target` and
     /// `2 * target` evenly spaced checkpoints (none when `target` is 0).
     ///
@@ -107,18 +122,29 @@ impl CheckpointSet {
         // exactly the pages written after boot (boot itself clears the
         // bits, making fresh boots and snapshot restores symmetric).
         kernel.machine_mut().mem.clear_dirty();
-        let cap = target * 2;
-        let mut snaps: Vec<Checkpoint> = Vec::with_capacity(cap);
+        // `target` comes from the user; a huge one must neither overflow
+        // nor size an allocation. It only ever means "never thin".
+        let cap = target.saturating_mul(2);
+        let mut snaps: Vec<Checkpoint> = Vec::new();
         let mut stride = INITIAL_STRIDE;
         let mut mark = stride;
         let outcome = loop {
             match kernel.run_until_machine_cycle(mark, limits) {
                 Some(done) => break done,
                 None => {
+                    let dirty = kernel.machine_mut().mem.take_dirty();
+                    // Thinning always keeps the newest rung, so the
+                    // last rung is the previous capture and `dirty`
+                    // holds every page written since it: only the
+                    // first rung scans all of memory.
+                    let snap = match snaps.last() {
+                        Some(prev) => kernel.snapshot_since(&prev.snap, &dirty),
+                        None => kernel.snapshot(),
+                    };
                     snaps.push(Checkpoint {
                         mark,
-                        snap: kernel.snapshot(),
-                        dirty_since_prev: kernel.machine_mut().mem.take_dirty(),
+                        snap,
+                        dirty_since_prev: dirty,
                     });
                     if snaps.len() == cap {
                         // Drop the 1st, 3rd, 5th, … snapshot: the

@@ -389,8 +389,21 @@ impl Kernel {
     /// replays the exact tick sequence the original kernel would have
     /// executed, producing bit-identical [`RunReport`]s.
     pub fn snapshot(&self) -> KernelSnapshot {
+        self.snapshot_with(self.machine.snapshot())
+    }
+
+    /// [`Kernel::snapshot`] with physical memory captured incrementally
+    /// from `base`, an earlier snapshot of this kernel, and `dirty`,
+    /// every page written since `base` was taken (see
+    /// [`Machine::snapshot_since`]). Checkpoint capture uses it for
+    /// every rung after the first.
+    pub fn snapshot_since(&self, base: &KernelSnapshot, dirty: &PageSet) -> KernelSnapshot {
+        self.snapshot_with(self.machine.snapshot_since(&base.machine, dirty))
+    }
+
+    fn snapshot_with(&self, machine: MachineSnapshot) -> KernelSnapshot {
         KernelSnapshot {
-            machine: self.machine.snapshot(),
+            machine,
             spec: self.spec,
             alloc: self.alloc.clone(),
             procs: self.procs.clone(),

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A memory access failure, carrying the faulting address.
 ///
@@ -77,8 +78,9 @@ pub struct PhysMem {
     bytes: Vec<u8>,
     /// One bit per [`SNAP_PAGE`] page, set on every write since the
     /// last [`PhysMem::clear_dirty`] (or construction). Lets checkpoint
-    /// reconvergence probes compare only pages that could have changed
-    /// instead of scanning all of physical memory.
+    /// capture copy, and reconvergence probes compare, only pages that
+    /// could have changed instead of scanning all of physical memory.
+    /// Every write to `bytes` must mark its pages here.
     dirty: PageSet,
 }
 
@@ -237,21 +239,66 @@ impl PhysMem {
     }
 
     /// Captures a sparse snapshot: only pages containing at least one
-    /// nonzero byte are copied. Guest memory starts zeroed and most of
+    /// nonzero byte are kept. Guest memory starts zeroed and most of
     /// the 64 MiB physical space is never written, so checkpoints stay
     /// small and restores cheap.
+    ///
+    /// This is [`PhysMem::snapshot_since`] over an empty base with every
+    /// page dirty, so it scans all of memory; a checkpoint ladder pays
+    /// that scan once, for its first rung.
     pub fn snapshot(&self) -> MemSnapshot {
+        let empty = MemSnapshot {
+            size: self.size(),
+            pages: Vec::new(),
+        };
+        self.snapshot_since(&empty, &PageSet::full(self.size()))
+    }
+
+    /// Captures a snapshot incrementally from `base`, an earlier
+    /// snapshot of this memory, and `dirty`, which must hold every page
+    /// written since `base` was captured (the [`PhysMem::take_dirty`]
+    /// taken at that instant). Dirty pages are copied afresh, or
+    /// dropped when they became all-zero; every other page of `base` is
+    /// shared by reference. Cost scales with the pages kept and the
+    /// pages dirtied, not with memory size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` was captured from a memory of another size.
+    pub fn snapshot_since(&self, base: &MemSnapshot, dirty: &PageSet) -> MemSnapshot {
         // Slice comparison against a zero page compiles to memcmp —
-        // roughly an order of magnitude faster than a bytewise scan,
-        // and this scan runs once per checkpoint over all of memory.
+        // roughly an order of magnitude faster than a bytewise scan.
         const ZERO_PAGE: [u8; SNAP_PAGE] = [0; SNAP_PAGE];
-        let pages = self
-            .bytes
-            .chunks(SNAP_PAGE)
-            .enumerate()
-            .filter(|(_, chunk)| *chunk != &ZERO_PAGE[..chunk.len()])
-            .map(|(i, chunk)| ((i * SNAP_PAGE) as u32, chunk.to_vec().into_boxed_slice()))
-            .collect();
+        assert_eq!(base.size, self.size(), "base snapshot of another memory");
+        let len = self.bytes.len();
+        let mut dirty = dirty
+            .pages()
+            .map(|page| page * SNAP_PAGE)
+            .take_while(|&start| start < len)
+            .peekable();
+        let mut kept = base.pages.iter().peekable();
+        let mut pages = Vec::with_capacity(base.pages.len());
+        // Merge the two ascending offset streams; a dirty page replaces
+        // the base page at the same offset.
+        loop {
+            let next_kept = kept.peek().map(|(offset, _)| *offset as usize);
+            match dirty.peek().copied() {
+                Some(start) if next_kept.is_none_or(|k| start <= k) => {
+                    dirty.next();
+                    if next_kept == Some(start) {
+                        kept.next();
+                    }
+                    let chunk = &self.bytes[start..(start + SNAP_PAGE).min(len)];
+                    if chunk != &ZERO_PAGE[..chunk.len()] {
+                        pages.push((start as u32, Arc::from(chunk)));
+                    }
+                }
+                _ => match kept.next() {
+                    Some((offset, page)) => pages.push((*offset, Arc::clone(page))),
+                    None => break,
+                },
+            }
+        }
         MemSnapshot {
             size: self.size(),
             pages,
@@ -349,6 +396,15 @@ impl PageSet {
         }
     }
 
+    /// The set of every page of a memory of `mem_size` bytes.
+    fn full(mem_size: u32) -> PageSet {
+        let mut set = PageSet::for_mem(mem_size);
+        for page in 0..(mem_size as usize).div_ceil(SNAP_PAGE) {
+            set.insert(page);
+        }
+        set
+    }
+
     /// Adds one page index.
     #[inline]
     pub fn insert(&mut self, page: usize) {
@@ -410,12 +466,17 @@ impl PageSet {
 const SNAP_PAGE: usize = 4096;
 
 /// A sparse, immutable copy of a [`PhysMem`] at one instant: the memory
-/// size plus every page that held a nonzero byte. Rebuilding via
-/// [`MemSnapshot::restore`] yields a byte-identical memory image.
-#[derive(Debug, Clone)]
+/// size plus every page that held a nonzero byte, in ascending offset
+/// order. Rebuilding via [`MemSnapshot::restore`] yields a
+/// byte-identical memory image.
+///
+/// Pages are immutable and reference-counted, so snapshots built by
+/// [`PhysMem::snapshot_since`] share every page their base already
+/// held unchanged, and cloning a snapshot copies no page bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemSnapshot {
     size: u32,
-    pages: Vec<(u32, Box<[u8]>)>,
+    pages: Vec<(u32, Arc<[u8]>)>,
 }
 
 impl MemSnapshot {
@@ -531,6 +592,27 @@ mod tests {
             back.read_bytes(0, 64 * 1024).unwrap(),
             m.read_bytes(0, 64 * 1024).unwrap()
         );
+    }
+
+    #[test]
+    fn incremental_snapshot_shares_clean_pages() {
+        let mut m = PhysMem::new(64 * 1024);
+        m.write_u8(0, 1).unwrap();
+        m.write_u8(4096, 2).unwrap();
+        m.write_u8(2 * 4096, 3).unwrap();
+        let base = m.snapshot();
+        m.clear_dirty();
+        m.write_u8(4096, 0).unwrap(); // page 1 becomes all-zero
+        m.write_u8(2 * 4096, 4).unwrap(); // page 2 changes
+        m.write_u8(5 * 4096, 5).unwrap(); // page 5 appears
+        let dirty = m.take_dirty();
+        let next = m.snapshot_since(&base, &dirty);
+        assert_eq!(next, m.snapshot());
+        let offsets: Vec<u32> = next.pages.iter().map(|(off, _)| *off).collect();
+        assert_eq!(offsets, [0, 2 * 4096, 5 * 4096]);
+        // The untouched page is shared, not copied.
+        assert!(Arc::ptr_eq(&base.pages[0].1, &next.pages[0].1));
+        assert!(!Arc::ptr_eq(&base.pages[2].1, &next.pages[1].1));
     }
 
     #[test]
