@@ -6,8 +6,8 @@
 //! ```text
 //! sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app bt|cg|...]
 //!       [--cores N] [--faults N] [--epsilon E] [--threads N] [--seed N]
-//!       [--db PATH] [--sink PATH] [--prune-dead] [--prune-classes]
-//!       [--oracle-audit R] [--text-faults]
+//!       [--db PATH] [--sink PATH] [--prune-classes] [--oracle-audit R]
+//!       [--text-faults]
 //! ```
 //!
 //! Kill it at any point and re-run with the same arguments: completed
@@ -19,7 +19,7 @@ use fracas_bench::cli::SweepOpts;
 
 const USAGE: &str = "sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N]\n\
      \u{20}            [--faults N] [--epsilon E] [--threads N] [--seed N] [--db PATH] [--sink PATH]\n\
-     \u{20}            [--prune-dead] [--prune-classes] [--oracle-audit R] [--text-faults]";
+     \u{20}            [--prune-classes] [--oracle-audit R] [--text-faults]";
 
 fn main() {
     let opts = SweepOpts::parse(USAGE);

@@ -3,9 +3,8 @@
 //! Every table/figure/tool binary accepts the same scenario-selection
 //! vocabulary (`--isa`, `--model`, `--app`, `--cores`) and the sweep
 //! family adds campaign knobs (`--faults`, `--epsilon`, `--threads`,
-//! `--seed`, `--db`, `--sink`, `--prune-dead`, `--prune-classes`). This
-//! module keeps the
-//! parsing in one place so the binaries stay single-screen `main`s:
+//! `--seed`, `--db`, `--sink`, `--prune-classes`, `--oracle-audit`).
+//! This module keeps the parsing in one place so the binaries stay single-screen `main`s:
 //!
 //! * [`Parser`] — a minimal flag walker with uniform `usage:` / bad
 //!   value / unknown flag diagnostics (exit code 2, matching the
@@ -185,18 +184,15 @@ pub struct SweepOpts {
     pub db: Option<PathBuf>,
     /// `--sink PATH`: in-flight record sink.
     pub sink: Option<PathBuf>,
-    /// `--prune-dead`: short-circuit provably-masked injections (the
+    /// `--prune-classes`: decide provably-masked injections without
+    /// executing them, and collapse the rest into interval-keyed
+    /// equivalence classes that execute one representative each (the
     /// database is byte-identical with or without it, only faster).
-    pub prune_dead: bool,
-    /// `--prune-classes`: collapse the fault list into interval-keyed
-    /// equivalence classes and execute one representative per class
-    /// (byte-identical database, fewer executions; composes with
-    /// `--prune-dead`).
     pub prune_classes: bool,
-    /// `--oracle-audit R`: with `--prune-dead` or `--prune-classes`,
-    /// also execute a deterministic fraction `R` of the synthesized
-    /// records (pruned faults and class members) for real and fail the
-    /// sweep on any oracle-vs-execution mismatch.
+    /// `--oracle-audit R`: with `--prune-classes`, also execute a
+    /// deterministic fraction `R` of the synthesized records (decided
+    /// faults and class members) for real and fail the sweep on any
+    /// oracle-vs-execution mismatch.
     pub oracle_audit: Option<f64>,
     /// `--<domain>-faults` flags, in command-line order: fault-domain
     /// registry names whose spaces replace the architectural-register
@@ -223,7 +219,7 @@ impl SweepOpts {
     /// The usage fragment for the campaign flags (append to
     /// [`FILTER_USAGE`]).
     pub const USAGE: &'static str = "[--faults N] [--epsilon E] [--threads N] [--seed N] \
-         [--db PATH] [--sink PATH] [--prune-dead] [--prune-classes] [--oracle-audit R] \
+         [--db PATH] [--sink PATH] [--prune-classes] [--oracle-audit R] \
          [--<domain>-faults: gpr|fpr|flag|text|cache|kernelctl|skip|storebuf|cachedata]";
 
     /// Parses the process arguments, accepting the filter flags and the
@@ -243,7 +239,6 @@ impl SweepOpts {
                 "--seed" => opts.seed = Some(p.parsed(&flag)),
                 "--db" => opts.db = Some(PathBuf::from(p.value(&flag))),
                 "--sink" => opts.sink = Some(PathBuf::from(p.value(&flag))),
-                "--prune-dead" => opts.prune_dead = true,
                 "--prune-classes" => opts.prune_classes = true,
                 "--oracle-audit" => opts.oracle_audit = Some(p.parsed(&flag)),
                 other => match domain_flag(other) {
@@ -271,9 +266,6 @@ impl SweepOpts {
         }
         if let Some(v) = self.seed {
             config.campaign.seed = v;
-        }
-        if self.prune_dead {
-            config.campaign.prune_dead = true;
         }
         if self.prune_classes {
             config.campaign.prune_classes = true;

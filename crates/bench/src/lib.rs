@@ -23,9 +23,9 @@
 //!   interval-keyed equivalence classes and execute one representative
 //!   per class (default 0 = off; the database stays byte-identical, see
 //!   `fracas::inject::class_plan`).
-//! * `FRACAS_ORACLE_AUDIT` — with `--prune-dead` or `--prune-classes`,
-//!   the fraction of synthesized records (oracle-pruned faults and
-//!   class members) to also execute for real and diff against the
+//! * `FRACAS_ORACLE_AUDIT` — with `--prune-classes`, the fraction of
+//!   synthesized records (oracle-decided faults and class members) to
+//!   also execute for real and diff against the
 //!   synthesized outcome (default 0 = off); any mismatch aborts the
 //!   sweep before the database is saved.
 //! * `FRACAS_SEED`, `FRACAS_THREADS` — see
@@ -144,9 +144,6 @@ pub fn run_sweep(
         .collect();
     let results = fracas::inject::run_fleet_with_sink(&workloads, config, sink)
         .unwrap_or_else(|e| panic!("sink {}: {e}", sink.display()));
-    // Oracle audits gate the save: a mismatch means the prune oracle
-    // synthesized a wrong record, so persisting the database (or
-    // consuming the sink) would cache corrupt results.
     // Class-collapse accounting: how much of each fault list actually
     // executed, and how many targets fell outside the oracle's model.
     for result in &results {
@@ -172,6 +169,9 @@ pub fn run_sweep(
             );
         }
     }
+    // Oracle audits gate the save: a mismatch means the prune oracle
+    // synthesized a wrong record, so persisting the database (or
+    // consuming the sink) would cache corrupt results.
     let mut mismatches = 0usize;
     for report in results.iter().filter_map(|r| r.audit.as_ref()) {
         eprintln!("  oracle audit {}", report.summary());

@@ -69,7 +69,7 @@ use fracas_rt::BuildError;
 
 /// The most commonly used types, for glob import.
 pub mod prelude {
-    pub use crate::{campaign_suite, run_scenario_campaign, sweep_scenarios};
+    pub use crate::{run_scenario_campaign, sweep_scenarios};
     pub use fracas_inject::{
         golden_run, golden_run_with_checkpoints, inject_one, run_campaign, run_fleet,
         run_fleet_with_sink, CampaignConfig, CampaignResult, CheckpointSet, Fault, FaultSpace,
@@ -98,10 +98,12 @@ pub fn run_scenario_campaign(
 /// Sweeps a set of scenarios through the fleet orchestrator — one
 /// shared worker pool across every workload's golden run, checkpoint
 /// ladder and injection batches — and merges the results into a
-/// [`Database`]. With `config.epsilon == 0` this is byte-identical to
-/// [`campaign_suite`], only faster on multicore hosts; for streaming
-/// records and crash-safe resume, build the workloads yourself and call
-/// [`fracas_inject::run_fleet_with_sink`].
+/// [`Database`] (the paper's phase-four single database). With
+/// `config.epsilon == 0` each campaign is byte-identical to
+/// [`run_scenario_campaign`] under `config.campaign`; set
+/// `config.progress` for per-workload progress lines on stderr. For
+/// streaming records and crash-safe resume, build the workloads
+/// yourself and call [`fracas_inject::run_fleet_with_sink`].
 ///
 /// # Errors
 ///
@@ -116,29 +118,6 @@ pub fn sweep_scenarios(
         .map(Workload::from_scenario)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Database::from_campaigns(run_fleet(&workloads, config)))
-}
-
-/// Runs campaigns over a set of scenarios and merges them into a
-/// [`Database`] (the paper's phase-four single database). `progress` is
-/// called after each scenario with (done, total, &result). The fleet
-/// variant of this — shared worker pool, early stopping, resume — is
-/// [`sweep_scenarios`].
-///
-/// # Errors
-///
-/// Returns the first [`BuildError`] encountered.
-pub fn campaign_suite(
-    scenarios: &[Scenario],
-    config: &CampaignConfig,
-    mut progress: impl FnMut(usize, usize, &CampaignResult),
-) -> Result<Database, BuildError> {
-    let mut db = Database::new();
-    for (i, scenario) in scenarios.iter().enumerate() {
-        let result = run_scenario_campaign(scenario, config)?;
-        progress(i + 1, scenarios.len(), &result);
-        db.push(result);
-    }
-    Ok(db)
 }
 
 #[cfg(test)]
@@ -169,20 +148,22 @@ mod tests {
         .into_iter()
         .flatten()
         .collect();
-        let mut seen = Vec::new();
-        let db = crate::campaign_suite(
+        let db = crate::sweep_scenarios(
             &scenarios,
-            &CampaignConfig {
-                faults: 5,
-                threads: 1,
-                ..CampaignConfig::default()
+            &FleetConfig {
+                campaign: CampaignConfig {
+                    faults: 5,
+                    threads: 1,
+                    ..CampaignConfig::default()
+                },
+                progress: true,
+                ..FleetConfig::default()
             },
-            |done, total, r| seen.push((done, total, r.id.clone())),
         )
         .unwrap();
         assert_eq!(db.len(), 2);
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0], (1, 2, "is-ser-1-sira64".to_string()));
+        let ids: Vec<&str> = db.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["is-ser-1-sira64", "ep-ser-1-sira64"]);
         assert!(db
             .get(Key {
                 app: App::Ep,
@@ -191,30 +172,6 @@ mod tests {
                 isa: IsaKind::Sira64
             })
             .is_some());
-    }
-
-    #[test]
-    fn sweep_scenarios_matches_campaign_suite_byte_for_byte() {
-        let scenarios: Vec<Scenario> = [
-            Scenario::new(App::Is, Model::Serial, 1, IsaKind::Sira64),
-            Scenario::new(App::Ep, Model::Serial, 1, IsaKind::Sira64),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        let campaign = CampaignConfig {
-            faults: 8,
-            ..CampaignConfig::default()
-        };
-        let suite = crate::campaign_suite(&scenarios, &campaign, |_, _, _| {}).unwrap();
-        let sweep = crate::sweep_scenarios(
-            &scenarios,
-            &FleetConfig {
-                campaign,
-                ..FleetConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sweep.to_json_lines(), suite.to_json_lines());
+        assert!(db.iter().all(|c| c.tally.total() == 5));
     }
 }

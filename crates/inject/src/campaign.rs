@@ -8,8 +8,7 @@ use fracas_npb::Scenario;
 use fracas_rt::BuildError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// A bootable workload: the unit a campaign runs against.
 #[derive(Debug, Clone)]
@@ -102,38 +101,28 @@ pub struct CampaignConfig {
     pub checkpoints: usize,
     /// The sampled fault space.
     pub space: FaultSpace,
-    /// Classify injections that land in a provably-dead window without
-    /// executing them (the `--prune-dead` mode): the golden run is
-    /// additionally traced and the `fracas-analyze` oracle decides
-    /// per-fault outcomes wherever the flipped bits provably die or
-    /// provably survive unread. Pruning never changes a single record —
-    /// databases are byte-identical with the mode on or off — so the
-    /// knob is deliberately excluded from orchestrator fingerprints.
-    /// Tunable via `FRACAS_PRUNE_DEAD`.
-    pub prune_dead: bool,
-    /// Collapse the fault space into def→use interval equivalence
-    /// classes (the `--prune-classes` mode): oracle-decided faults
-    /// synthesize their verdict exactly as [`CampaignConfig::prune_dead`]
-    /// does, and live faults sharing coordinates and a landing interval
-    /// execute one representative whose record every member reuses.
-    /// Synthesis is exact (see `fracas_analyze::intervals`), so
-    /// databases stay byte-identical with the mode on or off — like
-    /// `prune_dead`, it is excluded from orchestrator fingerprints
-    /// except where auditing makes the sink's audit lines differ.
-    /// Tunable via `FRACAS_PRUNE_CLASSES`.
+    /// Prune the fault list before executing it (the `--prune-classes`
+    /// mode): the golden run is additionally traced and replayed through
+    /// the `fracas-analyze` oracle. Faults whose flipped bits provably
+    /// die or provably survive unread are *decided* — their records are
+    /// synthesized from the verdict with golden timing, never executed.
+    /// Live faults sharing coordinates and a def→use landing interval
+    /// collapse into equivalence classes that execute one representative
+    /// whose record every member reuses. Both tiers are exact (see
+    /// `fracas_analyze::intervals`), so databases stay byte-identical
+    /// with the mode on or off and the knob is excluded from
+    /// orchestrator fingerprints except where auditing makes the sink's
+    /// audit lines differ. Tunable via `FRACAS_PRUNE_CLASSES`.
     pub prune_classes: bool,
     /// Oracle-audit sampling rate in `[0, 1]` (`FRACAS_ORACLE_AUDIT`):
-    /// with [`CampaignConfig::prune_dead`] on, this fraction of the
-    /// oracle-pruned faults is *also* executed for real and the
-    /// classified outcome diffed against the verdict
-    /// ([`crate::OracleAuditReport`]). With
-    /// [`CampaignConfig::prune_classes`] the same fraction of
-    /// non-representative class members is executed and diffed against
-    /// their representative's classification. The audited execution
-    /// never replaces a synthesized record — databases stay
-    /// byte-identical at any rate — it only feeds the report. `0.0`
-    /// (default) disables auditing; without a prune mode there is
-    /// nothing to audit.
+    /// with [`CampaignConfig::prune_classes`] on, this fraction of the
+    /// synthesized records — decided faults and non-representative class
+    /// members — is *also* executed for real and the classified outcome
+    /// diffed against the verdict or the representative's outcome
+    /// ([`crate::OracleAuditReport`]). The audited execution never
+    /// replaces a synthesized record — databases stay byte-identical at
+    /// any rate — it only feeds the report. `0.0` (default) disables
+    /// auditing; without pruning there is nothing to audit.
     pub oracle_audit: f64,
 }
 
@@ -147,7 +136,6 @@ impl Default for CampaignConfig {
             batch: 8,
             checkpoints: 16,
             space: FaultSpace::default(),
-            prune_dead: false,
             prune_classes: false,
             oracle_audit: 0.0,
         }
@@ -156,9 +144,8 @@ impl Default for CampaignConfig {
 
 impl CampaignConfig {
     /// Reads `FRACAS_FAULTS`, `FRACAS_SEED`, `FRACAS_THREADS`,
-    /// `FRACAS_CHECKPOINTS`, `FRACAS_PRUNE_DEAD`,
-    /// `FRACAS_PRUNE_CLASSES` and `FRACAS_ORACLE_AUDIT` from the
-    /// environment over the defaults.
+    /// `FRACAS_CHECKPOINTS`, `FRACAS_PRUNE_CLASSES` and
+    /// `FRACAS_ORACLE_AUDIT` from the environment over the defaults.
     pub fn from_env() -> CampaignConfig {
         let mut config = CampaignConfig::default();
         if let Some(v) = env_u64("FRACAS_FAULTS") {
@@ -173,9 +160,6 @@ impl CampaignConfig {
         if let Some(v) = env_u64("FRACAS_CHECKPOINTS") {
             config.checkpoints = v as usize;
         }
-        if let Some(v) = env_u64("FRACAS_PRUNE_DEAD") {
-            config.prune_dead = v != 0;
-        }
         if let Some(v) = env_u64("FRACAS_PRUNE_CLASSES") {
             config.prune_classes = v != 0;
         }
@@ -186,15 +170,9 @@ impl CampaignConfig {
     }
 
     /// Whether this configuration audits anything: a nonzero sampling
-    /// rate only matters when a prune mode produces claims to audit.
+    /// rate only matters when pruning produces claims to audit.
     pub(crate) fn audits(&self) -> bool {
-        (self.prune_dead || self.prune_classes) && self.oracle_audit > 0.0
-    }
-
-    /// Whether the golden run needs an execution trace (any prune mode
-    /// replays it through the oracle).
-    pub(crate) fn traces(&self) -> bool {
-        self.prune_dead || self.prune_classes
+        self.prune_classes && self.oracle_audit > 0.0
     }
 }
 
@@ -458,7 +436,8 @@ pub struct CampaignResult {
     /// Every injection's record.
     pub records: Vec<InjectionRecord>,
     /// Injections whose outcome the static/trace analysis proved without
-    /// executing them ([`CampaignConfig::prune_dead`]). A run-time
+    /// executing them (the decided tier of
+    /// [`CampaignConfig::prune_classes`]). A run-time
     /// statistic, deliberately *not* serialized: pruning never changes a
     /// record, so databases stay byte-identical with the mode on or off.
     #[serde(skip)]
@@ -525,7 +504,7 @@ pub fn golden_trace(workload: &Workload) -> (RunReport, fracas_cpu::ExecTrace) {
 }
 
 /// [`golden_run_with_checkpoints`] with optional execution tracing for
-/// the [`CampaignConfig::prune_dead`] oracle. Tracing is a pure
+/// the [`CampaignConfig::prune_classes`] oracle. Tracing is a pure
 /// observer (excluded from snapshots), so the report, profile and every
 /// checkpoint are bit-identical whether `trace` is on or off.
 pub(crate) fn golden_run_traced(
@@ -552,55 +531,6 @@ pub(crate) fn golden_run_traced(
     let profile = kernel.machine().profile_report();
     let trace = kernel.machine_mut().take_trace();
     (kernel.report(), profile, set, trace)
-}
-
-/// Everything a campaign's prune modes decided about its fault list:
-/// the verdict table (dead-value short circuits), the optional
-/// equivalence-class plan and the unmodeled-target accounting. Shared
-/// by [`run_campaign_with`] and the fleet orchestrator so both prune
-/// identically.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CampaignPlan {
-    /// `verdicts[i]` short-circuits fault `i` without execution. Empty
-    /// when every prune mode is off.
-    pub(crate) verdicts: Vec<Option<Outcome>>,
-    /// The class plan ([`CampaignConfig::prune_classes`]).
-    pub(crate) classes: Option<crate::ClassPlan>,
-    /// Faults whose targets the oracle does not model (always executed
-    /// for real; surfaced by the audit report).
-    pub(crate) unmodeled: crate::UnmodeledCounts,
-}
-
-/// Builds the [`CampaignPlan`] for a campaign. With
-/// [`CampaignConfig::prune_classes`] the verdict table is the class
-/// plan's own decided table — byte-identical to what
-/// [`CampaignConfig::prune_dead`] alone computes, which is what keeps
-/// the dead-value subset stable under composition.
-pub(crate) fn campaign_plan(
-    workload: &Workload,
-    config: &CampaignConfig,
-    trace: Option<&fracas_cpu::ExecTrace>,
-    faults: &[Fault],
-) -> CampaignPlan {
-    if config.prune_classes {
-        let trace = trace.expect("prune_classes golden runs are traced");
-        let plan = crate::classes::class_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts: plan.decided.clone(),
-            unmodeled: plan.stats().unmodeled,
-            classes: Some(plan),
-        }
-    } else if config.prune_dead {
-        let trace = trace.expect("prune_dead golden runs are traced");
-        let (verdicts, unmodeled) = crate::prune::prune_plan(workload, trace, faults);
-        CampaignPlan {
-            verdicts,
-            classes: None,
-            unmodeled,
-        }
-    } else {
-        CampaignPlan::default()
-    }
 }
 
 /// Synthesizes the record of a pruned injection: the fault provably
@@ -686,11 +616,9 @@ pub(crate) fn campaign_seed(id: &str, base: u64) -> u64 {
         .wrapping_add(fnv(id.as_bytes()))
 }
 
-/// Samples the fault list for a workload (phase two), exactly as
-/// [`run_campaign`] does — the orchestrator shares this so its
-/// databases stay byte-identical. Public so differential suites can
-/// reconstruct a campaign's exact fault list from its golden cycle
-/// count.
+/// Samples the fault list for a workload (phase two). Public so
+/// differential suites can reconstruct a campaign's exact fault list
+/// from its golden cycle count.
 pub fn campaign_faults(
     workload: &Workload,
     config: &CampaignConfig,
@@ -719,43 +647,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     } else {
         threads
-    }
-}
-
-/// Assembles the merged database from the campaign's pieces — shared by
-/// [`run_campaign`] and the fleet orchestrator so both serialise the
-/// identical structure.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_result(
-    workload: &Workload,
-    config: &CampaignConfig,
-    golden: &RunReport,
-    profile: ProfileStats,
-    records: Vec<InjectionRecord>,
-    pruned: u64,
-    audit: Option<crate::OracleAuditReport>,
-    classes: Option<crate::ClassStats>,
-) -> CampaignResult {
-    let mut tally = Tally::default();
-    for r in &records {
-        tally.record(r.outcome);
-    }
-    CampaignResult {
-        id: workload.id.clone(),
-        faults: config.faults,
-        seed: config.seed,
-        golden: GoldenSummary {
-            cycles: golden.cycles,
-            instructions: golden.total_instructions(),
-            per_core_instructions: golden.per_core_instructions.clone(),
-        },
-        space_bits: workload.dims(config.space).total_bits(),
-        profile,
-        tally,
-        records,
-        pruned,
-        audit,
-        classes,
     }
 }
 
@@ -805,168 +696,25 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Runs a full campaign: golden run, fault sampling, parallel batched
-/// injection, classification and merge.
+/// injection, classification and merge. This is the fleet orchestrator
+/// ([`crate::run_fleet`]) over a one-workload sweep with early stopping
+/// off, so the two can never disagree. A golden run that panics yields
+/// the fleet's failed-workload result — zero reference data, every
+/// requested injection tallied as [`Outcome::Anomaly`] — instead of
+/// propagating the panic.
 pub fn run_campaign(workload: &Workload, config: &CampaignConfig) -> CampaignResult {
-    run_campaign_with(workload, config, &|workload, fault, checkpoints, limits| {
-        inject_one(workload, fault, checkpoints, limits)
-    })
+    let fleet = crate::FleetConfig {
+        campaign: config.clone(),
+        ..crate::FleetConfig::default()
+    };
+    crate::run_fleet(std::slice::from_ref(workload), &fleet)
+        .pop()
+        .expect("one result per workload")
 }
 
-/// The injection primitive a campaign or fleet drives: produces the
-/// faulty [`RunReport`] for one fault. Production code always uses
-/// [`inject_one`]; tests substitute misbehaving injectors to exercise
-/// the panic-isolation path.
-pub type Injector = dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits) -> RunReport + Sync;
-
-/// [`run_campaign`] with an explicit injection primitive (exposed for
-/// the fault-handling and differential test suites).
-pub fn run_campaign_with(
-    workload: &Workload,
-    config: &CampaignConfig,
-    injector: &Injector,
-) -> CampaignResult {
-    let (golden, profile_map, checkpoints, trace) =
-        golden_run_traced(workload, config.checkpoints, config.traces());
-    let checkpoints = Arc::new(checkpoints);
-    let profile = ProfileStats::from_run(&golden, &profile_map);
-    let faults = campaign_faults(workload, config, golden.cycles);
-    let limits = campaign_limits(&golden, config);
-    let plan = campaign_plan(workload, config, trace.as_ref(), &faults);
-    drop(trace);
-    let pruned = plan.verdicts.iter().flatten().count() as u64;
-    let audit_seed = campaign_seed(&workload.id, config.seed);
-
-    let threads = resolve_threads(config.threads);
-    let batch = config.batch.max(1);
-    let slots: Mutex<Vec<Option<InjectionRecord>>> = Mutex::new(vec![None; faults.len()]);
-    let audits: Mutex<Vec<crate::AuditEntry>> = Mutex::new(Vec::new());
-    let next_batch = AtomicUsize::new(0);
-    // One cell per fault index; only representative indices are ever
-    // initialized. `get_or_init` lets whichever worker first needs a
-    // representative (its own batch, or a member's batch racing ahead)
-    // execute it exactly once.
-    let cells: Vec<OnceLock<InjectionRecord>> =
-        (0..faults.len()).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(faults.len().max(1)) {
-            let checkpoints = Arc::clone(&checkpoints);
-            let (faults, golden, limits) = (&faults, &golden, &limits);
-            let (slots, next_batch, plan, audits) = (&slots, &next_batch, &plan, &audits);
-            let cells = &cells;
-            scope.spawn(move || loop {
-                let start = next_batch.fetch_add(batch, Ordering::Relaxed);
-                if start >= faults.len() {
-                    break;
-                }
-                let end = (start + batch).min(faults.len());
-                let mut local = Vec::with_capacity(end - start);
-                let mut local_audits = Vec::new();
-                for (i, fault) in faults[start..end].iter().enumerate() {
-                    let one = |f: &Fault| injector(workload, f, &checkpoints, limits);
-                    if let Some(Some(outcome)) = plan.verdicts.get(start + i) {
-                        local.push(pruned_record(golden, fault, start + i, *outcome));
-                        if config.audits()
-                            && crate::audit_selected(audit_seed, start + i, config.oracle_audit)
-                        {
-                            // Execute the pruned fault for real and diff
-                            // the outcome; the record above stays the
-                            // synthesized one either way.
-                            let executed = inject_record(&one, golden, fault, start + i);
-                            local_audits.push(crate::AuditEntry {
-                                index: (start + i) as u32,
-                                oracle: *outcome,
-                                executed: executed.outcome,
-                            });
-                        }
-                        continue;
-                    }
-                    if let Some(classes) = &plan.classes {
-                        let rep = classes.rep[start + i] as usize;
-                        let rep_record = cells[rep]
-                            .get_or_init(|| inject_record(&one, golden, &faults[rep], rep));
-                        if rep == start + i {
-                            local.push(*rep_record);
-                        } else {
-                            local.push(crate::classes::member_record(rep_record, fault, start + i));
-                            if config.audits()
-                                && crate::audit_selected(audit_seed, start + i, config.oracle_audit)
-                            {
-                                // Execute the member for real and diff
-                                // its classification against the
-                                // representative's claim.
-                                let executed = inject_record(&one, golden, fault, start + i);
-                                local_audits.push(crate::AuditEntry {
-                                    index: (start + i) as u32,
-                                    oracle: rep_record.outcome,
-                                    executed: executed.outcome,
-                                });
-                            }
-                        }
-                        continue;
-                    }
-                    local.push(inject_record(&one, golden, fault, start + i));
-                }
-                let mut slots = slots.lock().expect("no poisoned lock");
-                for record in local {
-                    slots[record.index as usize] = Some(record);
-                }
-                drop(slots);
-                if !local_audits.is_empty() {
-                    audits
-                        .lock()
-                        .expect("no poisoned lock")
-                        .append(&mut local_audits);
-                }
-            });
-        }
-    });
-    let audit = config.audits().then(|| {
-        let mut entries = audits.into_inner().expect("no poisoned lock");
-        entries.sort_by_key(|e| e.index);
-        crate::OracleAuditReport {
-            id: workload.id.clone(),
-            rate: config.oracle_audit,
-            entries,
-            unmodeled: plan.unmodeled.total(),
-            buckets: plan.unmodeled,
-        }
-    });
-    let class_stats = plan.classes.as_ref().map(crate::ClassPlan::stats);
-
-    // Every slot is filled in the normal case (per-injection panics are
-    // already downgraded to Anomaly records); a slot can only stay empty
-    // if a worker thread died outside the isolated region, so backfill
-    // those as anomalies too rather than losing the whole campaign.
-    let records: Vec<InjectionRecord> = slots
-        .into_inner()
-        .expect("no poisoned lock")
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or(InjectionRecord {
-                index: i as u32,
-                fault: faults[i],
-                outcome: Outcome::Anomaly,
-                cycles: 0,
-                instructions: 0,
-                rep: None,
-            })
-        })
-        .collect();
-    assemble_result(
-        workload,
-        config,
-        &golden,
-        profile,
-        records,
-        pruned,
-        audit,
-        class_stats,
-    )
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`: the per-workload seed mix and the record sink's
+/// configuration fingerprint.
+pub(crate) fn fnv(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

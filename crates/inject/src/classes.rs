@@ -4,7 +4,7 @@
 //! [`class_plan`] partitions a campaign's sampled fault list into
 //! equivalence classes keyed by [`Fingerprint`]: faults the oracle
 //! fully decides collapse by verdict (each synthesizes its own
-//! golden-timing record, exactly as `--prune-dead` would), and live
+//! golden-timing record — the dead-value tier), and live
 //! faults sharing `(core, target, bit, width)` coordinates *and* a
 //! landing interval collapse onto one **representative** — the class's
 //! lowest fault index. The campaign executes only representatives (and
@@ -103,9 +103,8 @@ impl ClassStats {
 pub struct ClassPlan {
     /// `decided[i]`: the oracle-proven outcome of fault `i` (synthesized
     /// with golden timing), or `None` when it belongs to a live class or
-    /// runs as a singleton. Identical to the `--prune-dead` verdict
-    /// table, which is what keeps the dead-value subset byte-identical
-    /// under composition.
+    /// runs as a singleton. Decided records never execute; the
+    /// campaign's [`crate::CampaignResult::pruned`] counts them.
     pub decided: Vec<Option<Outcome>>,
     /// `rep[i]`: the representative index of fault `i`'s class.
     /// `rep[i] == i` for representatives, singletons and decided
@@ -199,8 +198,7 @@ pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> C
             Decision::Oracle(core, target) => (core, target),
             Decision::Verdict(outcome) => {
                 // A static-only domain's provably-unapplied fault: the
-                // proven golden-timing outcome, exactly as
-                // `--prune-dead` synthesizes it.
+                // proven golden-timing outcome.
                 decided[i] = Some(outcome);
                 classes.push(FaultClass::Decided);
                 continue;

@@ -1,9 +1,10 @@
-//! The fleet orchestrator: one shared job pool for a whole sweep.
+//! The fleet orchestrator: one shared job pool for a whole sweep, and
+//! the only code that dispatches injections.
 //!
-//! [`run_campaign`](crate::run_campaign) serves exactly one workload per
-//! call; the paper's evaluation is a *sweep* — 64 scenario × ISA ×
-//! core-count configurations, 1,040,000 injections, on an HPC cluster.
-//! This module makes the sweep itself the first-class unit:
+//! The paper's evaluation is a *sweep* — 64 scenario × ISA × core-count
+//! configurations, 1,040,000 injections, on an HPC cluster. This module
+//! makes the sweep itself the first-class unit; a single campaign
+//! ([`run_campaign`](crate::run_campaign)) is a one-workload sweep:
 //!
 //! * **Shared work pool.** All jobs of a sweep — golden runs (with their
 //!   checkpoint ladders) and injection batches of *every* workload — are
@@ -23,20 +24,19 @@
 //!   the *committed prefix* of the record list (records 0..k with no
 //!   holes), so the stopping index is a pure function of the fault list
 //!   — byte-identical across thread counts, batch sizes and resumes.
-//!   The default ε = 0 disables stopping and reproduces
-//!   [`run_campaign`](crate::run_campaign) byte-for-byte.
+//!   The default ε = 0 disables stopping: every workload runs its full
+//!   fault list.
 //! * **Panic isolation.** A panicking injection job becomes an
 //!   [`Outcome::Anomaly`] record; a panicking golden run marks only that
 //!   workload as failed. Neither poisons the rest of the sweep.
 
 use crate::audit::{audit_selected, AuditEntry, OracleAuditReport};
 use crate::campaign::{
-    assemble_result, campaign_faults, campaign_limits, campaign_plan, campaign_seed,
-    golden_run_traced, inject_one, inject_record, panic_message, pruned_record, resolve_threads,
-    CampaignConfig, CampaignPlan, CampaignResult, GoldenSummary, InjectionRecord, Injector,
-    ProfileStats, Tally, Workload,
+    campaign_faults, campaign_limits, campaign_seed, fnv, golden_run_traced, inject_one,
+    inject_record, panic_message, pruned_record, resolve_threads, CampaignConfig, CampaignResult,
+    GoldenSummary, InjectionRecord, ProfileStats, Tally, Workload,
 };
-use crate::{CheckpointSet, Fault, Outcome};
+use crate::{class_plan, CheckpointSet, ClassPlan, Fault, Outcome};
 use fracas_kernel::{Limits, RunReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -55,8 +55,8 @@ pub struct FleetConfig {
     pub campaign: CampaignConfig,
     /// Early-stopping threshold on the widest per-class Wilson
     /// confidence half-width, as a proportion in `[0, 1]`. `0.0`
-    /// (default) disables early stopping, preserving byte-identical
-    /// [`run_campaign`](crate::run_campaign) results.
+    /// (default) disables early stopping, so every workload runs its
+    /// full fault list.
     pub epsilon: f64,
     /// Critical value of the confidence interval (default 1.96 ≙ 95%).
     pub z: f64,
@@ -135,18 +135,18 @@ struct SinkHeader {
 }
 
 fn config_fingerprint(config: &CampaignConfig) -> u64 {
-    // `prune_dead` / `prune_classes` alone never change a record, so
-    // toggling them keeps the fingerprint (and a half-finished sink)
-    // valid. Auditing adds entries the resumed report must replay, so
-    // the *effective* rate (zero unless a prune mode is on) is part of
-    // the key — and under auditing the class mode is too, because class
-    // mode audits member faults the dead-value mode never would.
+    // `prune_classes` alone never changes a record, so toggling it keeps
+    // the fingerprint (and a half-finished sink) valid. Auditing adds
+    // entries the resumed report must replay, so the *effective* rate
+    // (zero unless pruning is on) is part of the key. The `classes=`
+    // term always equals `audit != 0`; it stays in the key so existing
+    // sink files keep their fingerprints and still resume.
     let audit = if config.audits() {
         config.oracle_audit.to_bits()
     } else {
         0
     };
-    let classes = config.audits() && config.prune_classes;
+    let classes = config.audits();
     let key = format!(
         "seed={};faults={};watchdog={};space={:?};audit={audit};classes={classes}",
         config.seed,
@@ -154,12 +154,7 @@ fn config_fingerprint(config: &CampaignConfig) -> u64 {
         config.watchdog_factor.to_bits(),
         config.space,
     );
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv(key.as_bytes())
 }
 
 /// Append-only JSONL stream of completed injection records, giving a
@@ -294,10 +289,10 @@ struct GoldenJob {
     checkpoints: Arc<CheckpointSet>,
     faults: Vec<Fault>,
     limits: Limits,
-    /// Everything the prune modes decided about the fault list: the
-    /// verdict table, the optional equivalence-class plan and the
-    /// unmodeled-target counts. Default (all-empty) when pruning is off.
-    plan: CampaignPlan,
+    /// What pruning decided about the fault list — the decided table,
+    /// the equivalence classes and the unmodeled-target accounting
+    /// ([`CampaignConfig::prune_classes`]); `None` when pruning is off.
+    plan: Option<ClassPlan>,
     /// One write-once slot per fault index holding the executed record
     /// of a class representative ([`CampaignConfig::prune_classes`]):
     /// whichever worker first needs a representative — for its own
@@ -390,10 +385,9 @@ fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize
 }
 
 /// Runs a sweep over `workloads` on one shared worker pool, returning
-/// one [`CampaignResult`] per workload (input order). With the default
-/// `epsilon = 0` every database is byte-identical to running
-/// [`run_campaign`](crate::run_campaign) per workload with
-/// `config.campaign`.
+/// one [`CampaignResult`] per workload (input order). Each database is
+/// a pure function of its workload and `config`: thread count, batch
+/// size and the other workloads in the sweep never change a byte.
 pub fn run_fleet(workloads: &[Workload], config: &FleetConfig) -> Vec<CampaignResult> {
     run_fleet_with(workloads, config, &mut RecordSink::disabled(), &inject_one)
 }
@@ -416,8 +410,14 @@ pub fn run_fleet_with_sink(
     Ok(run_fleet_with(workloads, config, &mut sink, &inject_one))
 }
 
+/// The injection primitive the fleet drives: produces the faulty
+/// [`RunReport`] for one fault. Production code always uses
+/// [`inject_one`]; tests substitute misbehaving injectors to exercise
+/// the panic-isolation path.
+pub type Injector = dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits) -> RunReport + Sync;
+
 /// The orchestrator core with an explicit injection primitive and sink
-/// (exposed for the panic-isolation and differential test suites;
+/// (exposed for the panic-isolation and fault-handling test suites;
 /// production entry points are [`run_fleet`] / [`run_fleet_with_sink`]).
 pub fn run_fleet_with(
     workloads: &[Workload],
@@ -509,11 +509,14 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
     let campaign = &config.campaign;
     let job = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let (report, profile_map, checkpoints, trace) =
-            golden_run_traced(state.workload, campaign.checkpoints, campaign.traces());
+            golden_run_traced(state.workload, campaign.checkpoints, campaign.prune_classes);
         let profile = ProfileStats::from_run(&report, &profile_map);
         let faults = campaign_faults(state.workload, campaign, report.cycles);
         let limits = campaign_limits(&report, campaign);
-        let plan = campaign_plan(state.workload, campaign, trace.as_ref(), &faults);
+        // The trace exists exactly when pruning is on; it is dropped
+        // here, before injection starts, because it can dwarf the
+        // checkpoint ladder.
+        let plan = trace.map(|trace| class_plan(state.workload, &trace, &faults));
         let cells = (0..faults.len()).map(|_| OnceLock::new()).collect();
         GoldenJob {
             report,
@@ -550,7 +553,7 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
             // fresh ones field-for-field, and seed the representative
             // cells so members never re-execute a replayed
             // representative.
-            if let Some(classes) = &job.plan.classes {
+            if let Some(classes) = &job.plan {
                 if let Some(&rep) = classes.rep.get(i) {
                     if rep as usize == i {
                         let _ = job.cells[i].set(record);
@@ -608,54 +611,44 @@ fn run_injection_batch(
         if have[i] {
             continue;
         }
+        let index = start + i;
         let one = |f: &Fault| injector(state.workload, f, &golden.checkpoints, &golden.limits);
-        if let Some(Some(outcome)) = golden.plan.verdicts.get(start + i) {
-            let record = pruned_record(&golden.report, fault, start + i, *outcome);
-            let audit = (campaign.audits()
-                && audit_selected(golden.audit_seed, start + i, campaign.oracle_audit))
-            .then(|| {
-                let executed = inject_record(&one, &golden.report, fault, start + i);
-                AuditEntry {
-                    index: (start + i) as u32,
-                    oracle: *outcome,
-                    executed: executed.outcome,
-                }
-            });
-            fresh.push((audit, record));
+        let Some(plan) = &golden.plan else {
+            fresh.push((None, inject_record(&one, &golden.report, fault, index)));
             continue;
-        }
-        if let Some(classes) = &golden.plan.classes {
-            // Class mode: execute the class representative (at most
-            // once, via its cell) and synthesize members from it. The
+        };
+        // A synthesized record carries a claim — the oracle's verdict
+        // for a decided fault, the representative's outcome for a class
+        // member — that the sampled audit checks against real execution.
+        let (record, claim) = if let Some(outcome) = plan.decided[index] {
+            let record = pruned_record(&golden.report, fault, index, outcome);
+            (record, Some(outcome))
+        } else {
+            // Execute the class representative (at most once, via its
+            // cell) and synthesize members from it. The
             // representative's index never exceeds the member's, so an
             // early-stopped prefix always contains every representative
             // its members cite.
-            let rep = classes.rep[start + i] as usize;
+            let rep = plan.rep[index] as usize;
             let rep_record = golden.cells[rep]
                 .get_or_init(|| inject_record(&one, &golden.report, &golden.faults[rep], rep));
-            if rep == start + i {
-                fresh.push((None, *rep_record));
+            if rep == index {
+                (*rep_record, None)
             } else {
-                let record = crate::classes::member_record(rep_record, fault, start + i);
-                // Member-sampling audit: execute this member for real
-                // and diff its classified outcome against the
-                // representative's — the execution-validated backstop of
-                // the interval-exactness claim.
-                let audit = (campaign.audits()
-                    && audit_selected(golden.audit_seed, start + i, campaign.oracle_audit))
-                .then(|| {
-                    let executed = inject_record(&one, &golden.report, fault, start + i);
-                    AuditEntry {
-                        index: (start + i) as u32,
-                        oracle: rep_record.outcome,
-                        executed: executed.outcome,
-                    }
-                });
-                fresh.push((audit, record));
+                let record = crate::classes::member_record(rep_record, fault, index);
+                (record, Some(rep_record.outcome))
             }
-            continue;
-        }
-        fresh.push((None, inject_record(&one, &golden.report, fault, start + i)));
+        };
+        let audit = claim
+            .filter(|_| {
+                campaign.audits() && audit_selected(golden.audit_seed, index, campaign.oracle_audit)
+            })
+            .map(|oracle| AuditEntry {
+                index: index as u32,
+                oracle,
+                executed: inject_record(&one, &golden.report, fault, index).outcome,
+            });
+        fresh.push((audit, record));
     }
     let (committed, prefix) = {
         let mut slots = state.slots.lock().expect("no poisoned slots lock");
@@ -736,35 +729,50 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
             })
         })
         .collect();
-    // The prune statistic counts decided faults within the kept range —
-    // a pure function of the fault list, so it matches across thread
-    // counts and resumes even when some records were replayed from disk.
-    let verdicts = &golden.plan.verdicts;
-    let pruned = verdicts[..keep.min(verdicts.len())]
-        .iter()
-        .flatten()
-        .count() as u64;
-    // Like `pruned`, the report covers only the kept prefix, so an
+    // The class statistics (and the prune count among them) cover the
+    // kept range only — a pure function of the fault list, so they match
+    // across thread counts and resumes even when some records were
+    // replayed from disk.
+    let classes = golden.plan.as_ref().map(|plan| plan.stats_prefix(keep));
+    // Likewise the report covers only the kept prefix, so an
     // early-stopped campaign's report matches across resumes even when
     // workers audited past the stop point before it was set.
-    let audit = config.campaign.audits().then(|| OracleAuditReport {
-        id: state.workload.id.clone(),
-        rate: config.campaign.oracle_audit,
-        entries: slots.audits.iter().take(keep).flatten().copied().collect(),
-        unmodeled: golden.plan.unmodeled.total(),
-        buckets: golden.plan.unmodeled,
+    let audit = config.campaign.audits().then(|| {
+        let unmodeled = golden
+            .plan
+            .as_ref()
+            .map(|plan| plan.stats().unmodeled)
+            .unwrap_or_default();
+        OracleAuditReport {
+            id: state.workload.id.clone(),
+            rate: config.campaign.oracle_audit,
+            entries: slots.audits.iter().take(keep).flatten().copied().collect(),
+            unmodeled: unmodeled.total(),
+            buckets: unmodeled,
+        }
     });
-    let classes = golden.plan.classes.as_ref().map(|c| c.stats_prefix(keep));
-    assemble_result(
-        state.workload,
-        &config.campaign,
-        &golden.report,
-        golden.profile,
+    let mut tally = Tally::default();
+    for r in &records {
+        tally.record(r.outcome);
+    }
+    let report = &golden.report;
+    CampaignResult {
+        id: state.workload.id.clone(),
+        faults: config.campaign.faults,
+        seed: config.campaign.seed,
+        golden: GoldenSummary {
+            cycles: report.cycles,
+            instructions: report.total_instructions(),
+            per_core_instructions: report.per_core_instructions.clone(),
+        },
+        space_bits: state.workload.dims(config.campaign.space).total_bits(),
+        profile: golden.profile,
+        tally,
         records,
-        pruned,
+        pruned: classes.map_or(0, |c| u64::from(c.decided)),
         audit,
         classes,
-    )
+    }
 }
 
 /// The database of a workload whose golden run failed: zero reference
@@ -824,44 +832,51 @@ mod tests {
             ..base.clone()
         };
         assert_ne!(config_fingerprint(&base), config_fingerprint(&resized));
-        // The audit rate only bites when auditing is effective (prune on,
-        // rate > 0): a rate set without pruning keeps the fingerprint, so
-        // toggling `--prune-dead` alone still resumes the same sink.
+        // The audit rate only bites when auditing is effective (pruning
+        // on, rate > 0): a rate set without pruning keeps the
+        // fingerprint, and so does pruning alone — it never changes a
+        // record, so toggling `--prune-classes` still resumes the sink.
         let idle_audit = CampaignConfig {
             oracle_audit: 0.25,
             ..base.clone()
         };
         assert_eq!(config_fingerprint(&base), config_fingerprint(&idle_audit));
         let pruned = CampaignConfig {
-            prune_dead: true,
+            prune_classes: true,
             ..base.clone()
         };
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&pruned));
+        // Under auditing, pruning adds audit lines the resumed report
+        // must replay, so the sink must not be resumed across the toggle
+        // or across a rate change.
         let audited = CampaignConfig {
-            prune_dead: true,
+            prune_classes: true,
             oracle_audit: 0.25,
             ..base.clone()
         };
         assert_ne!(config_fingerprint(&pruned), config_fingerprint(&audited));
-        // Same story for class pruning: the mode alone never changes a
-        // record, but under auditing it changes which faults get audit
-        // lines, so the sink must not be resumed across the toggle.
-        let classed = CampaignConfig {
-            prune_classes: true,
-            ..base.clone()
+        let reaudited = CampaignConfig {
+            oracle_audit: 0.5,
+            ..audited.clone()
         };
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&classed));
-        let classed_audited = CampaignConfig {
-            prune_classes: true,
-            oracle_audit: 0.25,
-            ..base
-        };
-        assert_ne!(
-            config_fingerprint(&audited),
-            config_fingerprint(&classed_audited)
+        assert_ne!(config_fingerprint(&audited), config_fingerprint(&reaudited));
+    }
+
+    #[test]
+    fn fingerprint_values_are_stable() {
+        // Literal values: a sink written by any earlier build with the
+        // same configuration must keep resuming.
+        assert_eq!(
+            config_fingerprint(&CampaignConfig::default()),
+            0x085d_39d7_b183_9a87
         );
-        assert_ne!(
-            config_fingerprint(&classed),
-            config_fingerprint(&classed_audited)
+        assert_eq!(
+            config_fingerprint(&CampaignConfig {
+                prune_classes: true,
+                oracle_audit: 0.05,
+                ..CampaignConfig::default()
+            }),
+            0xe426_33d2_bf20_094e
         );
     }
 

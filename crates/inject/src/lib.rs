@@ -19,18 +19,23 @@
 //!   kernel snapshots ([`CheckpointSet`]); each injection resumes from
 //!   the latest one strictly before its fault cycle instead of
 //!   replaying from boot, bit-identically (gem5-style checkpointing).
-//! * **Provably-masked pruning**: with [`CampaignConfig::prune_dead`],
-//!   a trace-exact dead-value oracle (`fracas-analyze`) classifies
-//!   injections whose bit is overwritten before ever being read —
-//!   without executing them, and byte-identically to the full campaign.
+//! * **Exact pruning**: with [`CampaignConfig::prune_classes`], a
+//!   trace-exact oracle (`fracas-analyze`) *decides* injections whose
+//!   bit is overwritten before ever being read (or survives unread)
+//!   without executing them, and collapses the remaining live faults
+//!   into def→use interval classes that execute one representative
+//!   each ([`class_plan`]) — byte-identically to the full campaign.
 //! * **Sampled oracle auditing**: with [`CampaignConfig::oracle_audit`]
 //!   (`FRACAS_ORACLE_AUDIT=<rate>`) a deterministic, seed-derived
-//!   fraction of the pruned faults is *also* executed for real and the
-//!   classified outcome diffed against the oracle's verdict
-//!   ([`OracleAuditReport`]); a mismatch fails the sweep.
-//! * **Distribution** (§3.2.4): jobs run on a work queue over
-//!   host threads; results are index-sorted, so a campaign is
-//!   deterministic for a given seed regardless of thread count.
+//!   fraction of the synthesized records is *also* executed for real
+//!   and the classified outcome diffed against the verdict or the
+//!   representative's outcome ([`OracleAuditReport`]); a mismatch fails
+//!   the sweep.
+//! * **Distribution** (§3.2.4): the fleet orchestrator ([`run_fleet`])
+//!   runs golden runs and injection batches of every workload on one
+//!   shared work queue over host threads; results are index-sorted, so
+//!   a campaign is deterministic for a given seed regardless of thread
+//!   count. [`run_campaign`] is a one-workload sweep.
 //!
 //! ## Example
 //!
@@ -61,8 +66,8 @@ mod prune;
 pub use audit::{audit_selected, AuditEntry, OracleAuditReport};
 pub use campaign::{
     campaign_faults, golden_only, golden_run, golden_run_with_checkpoints, golden_trace,
-    inject_one, run_campaign, run_campaign_with, CampaignConfig, CampaignResult, GoldenSummary,
-    InjectionRecord, Injector, ProfileStats, Tally, Workload,
+    inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord,
+    ProfileStats, Tally, Workload,
 };
 pub use checkpoint::CheckpointSet;
 pub use classes::{class_plan, weighted_tally, ClassPlan, ClassStats};
@@ -73,5 +78,7 @@ pub use domain::{
 pub use fault::{
     sample_faults, sample_faults_with_text, sample_space, Fault, FaultSpace, FaultTarget,
 };
-pub use fleet::{run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, RecordSink};
-pub use prune::{prune_plan, prune_table, prune_target, Unmodeled, UnmodeledCounts};
+pub use fleet::{
+    run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
+};
+pub use prune::{prune_target, Unmodeled, UnmodeledCounts};

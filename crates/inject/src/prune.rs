@@ -1,22 +1,23 @@
-//! `--prune-dead` campaign support: mapping sampled faults onto the
-//! `fracas-analyze` oracle and synthesizing records for provable
-//! outcomes.
+//! Fault-to-oracle projection for `--prune-classes`: mapping sampled
+//! faults onto the `fracas-analyze` oracle's coordinates, and the
+//! accounting of targets outside its model.
 //!
-//! The contract this module upholds is *byte-identity*: a pruned
-//! campaign's record stream must equal the unpruned campaign's, record
-//! for record. That works because a fault the oracle decides provably
-//! never diverges the execution — the faulty run commits the golden
-//! instruction stream on the golden schedule, so its cycle and
-//! instruction counts are the golden run's and its classification is
-//! exactly the verdict ([`PruneVerdict::Vanished`] → `Vanished`,
-//! [`PruneVerdict::SilentResidue`] → ONA: same output, same memory,
-//! same counts, different exit context hash). Faults the oracle
-//! abstains on (and every memory fault — memory lifetimes outlive
-//! register lifetimes and the trace carries no addresses) run through
-//! the ordinary checkpoint-ladder injector. Text faults are decided by
-//! the oracle's decode-differential layer (`fracas_analyze::textfault`)
-//! since PR 8; only words the golden run itself overwrites remain
-//! outside the model.
+//! The contract the decided tier of the class plan upholds is
+//! *byte-identity*: a pruned campaign's record stream must equal the
+//! unpruned campaign's, record for record. That works because a fault
+//! the oracle decides provably never diverges the execution — the
+//! faulty run commits the golden instruction stream on the golden
+//! schedule, so its cycle and instruction counts are the golden run's
+//! and its classification is exactly the verdict
+//! ([`fracas_analyze::PruneVerdict::Vanished`] → `Vanished`,
+//! [`fracas_analyze::PruneVerdict::SilentResidue`] → ONA: same output,
+//! same memory, same counts, different exit context hash). Faults the
+//! oracle abstains on (and every memory fault — memory lifetimes
+//! outlive register lifetimes and the trace carries no addresses) run
+//! through the ordinary checkpoint-ladder injector. Text faults are
+//! decided by the oracle's decode-differential layer
+//! (`fracas_analyze::textfault`); only words the golden run
+//! itself overwrites remain outside the model.
 //!
 //! What each fault domain lets the oracle decide is declared in its
 //! registry entry ([`crate::domain::Domain::prune`]); this module
@@ -28,11 +29,9 @@
 //! counts is exact. Every other fault of such a domain runs for real
 //! and is tallied in its explicit [`Unmodeled`] bucket.
 
-use crate::campaign::Workload;
 use crate::domain::{domain_of, PruneCap};
 use crate::{Fault, Outcome};
-use fracas_analyze::{PruneOracle, PruneTarget, PruneVerdict};
-use fracas_cpu::ExecTrace;
+use fracas_analyze::{PruneOracle, PruneTarget};
 use fracas_isa::IsaKind;
 
 /// Why a fault target is outside the oracle's model. Such faults always
@@ -123,9 +122,8 @@ pub fn prune_target(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget),
 
 /// What the prune layer concluded about one fault, before any verdict
 /// lookup: synthesize a proven outcome, consult the interval oracle at
-/// the mapped coordinates, or run for real in a named bucket. Shared by
-/// [`prune_plan`] and the class planner so both modes dispatch
-/// identically.
+/// the mapped coordinates, or run for real in a named bucket — the
+/// class planner's first step for every fault.
 pub(crate) enum Decision {
     /// The outcome is proven without consulting interval verdicts (a
     /// static-only domain's fault provably never applied: the run is
@@ -269,54 +267,6 @@ impl UnmodeledCounts {
         }
         parts.join(" + ")
     }
-}
-
-/// Decides the whole fault list against one golden trace: `table[i]` is
-/// the proven outcome of `faults[i]`, or `None` when it must run for
-/// real — either because the oracle abstained or because the target is
-/// [`Unmodeled`] (the counts distinguish the two). Computed once per
-/// workload so the trace (which can dwarf the checkpoint set) is
-/// dropped before injection starts, and so the prune decisions are
-/// independent of worker scheduling. Public so the differential and
-/// conservativeness suites can derive the expected skip set from the
-/// oracle itself instead of hard-coding counts.
-pub fn prune_plan(
-    workload: &Workload,
-    trace: &ExecTrace,
-    faults: &[Fault],
-) -> (Vec<Option<Outcome>>, UnmodeledCounts) {
-    let image = &workload.image;
-    let oracle = PruneOracle::new(image.isa, &image.text, image.text_base, trace);
-    let mut unmodeled = UnmodeledCounts::default();
-    let table = faults
-        .iter()
-        .map(|fault| match prune_decision(&oracle, image.isa, fault) {
-            Decision::Verdict(outcome) => Some(outcome),
-            Decision::Oracle(core, target) => {
-                oracle
-                    .verdict(core, target, fault.cycle)
-                    .map(|verdict| match verdict {
-                        PruneVerdict::Vanished => Outcome::Vanished,
-                        PruneVerdict::SilentResidue => Outcome::Ona,
-                    })
-            }
-            Decision::Unmodeled(reason) => {
-                unmodeled.record(reason);
-                None
-            }
-        })
-        .collect();
-    (table, unmodeled)
-}
-
-/// [`prune_plan`] without the unmodeled accounting (the historical
-/// interface the differential suites use).
-pub fn prune_table(
-    workload: &Workload,
-    trace: &ExecTrace,
-    faults: &[Fault],
-) -> Vec<Option<Outcome>> {
-    prune_plan(workload, trace, faults).0
 }
 
 #[cfg(test)]

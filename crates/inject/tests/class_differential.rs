@@ -3,18 +3,16 @@
 //! contract of interval-keyed equivalence-class collapse — while
 //! executing a fraction of the injections. Also pins the weighted-tally
 //! identity, non-vacuous member synthesis and member-sampling audits on
-//! the mini-kernel, unmodeled-target accounting, composition with
-//! `prune_dead`, the ≤50% EP-matrix collapse criterion, and
-//! bit-identical crash/resume of a class-pruned sweep including its
-//! audit report.
+//! the mini-kernel, unmodeled-target accounting, the ≤50% EP-matrix
+//! collapse criterion, and bit-identical crash/resume of a class-pruned
+//! sweep including its audit report.
 
 mod common;
 
 use common::build_workload;
 use fracas_inject::{
-    campaign_faults, class_plan, golden_trace, prune_plan, run_campaign, run_fleet_with_sink,
-    weighted_tally, CampaignConfig, CampaignResult, Fault, FaultSpace, FaultTarget, FleetConfig,
-    Workload,
+    campaign_faults, class_plan, golden_trace, run_campaign, run_fleet_with_sink, weighted_tally,
+    CampaignConfig, CampaignResult, Fault, FaultSpace, FaultTarget, FleetConfig, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -264,9 +262,9 @@ fn ep_text_only_classes_match_full_campaign() {
 
 /// The one genuinely undecidable text case (satellite regression): a
 /// word the traced run itself overwrites must invalidate every static
-/// verdict for it — it runs for real as an `Unmodeled::Text` singleton,
-/// in both the prune table and the class plan, while unpatched words
-/// keep their verdicts.
+/// verdict for it — it runs for real as an `Unmodeled::Text` singleton
+/// outside the class plan's decided table, while unpatched words keep
+/// their verdicts.
 #[test]
 fn self_patched_text_words_form_unmodeled_singletons() {
     use fracas_cpu::{TraceEvent, TraceKind};
@@ -288,18 +286,16 @@ fn self_patched_text_words_form_unmodeled_singletons() {
             width: 1,
         })
         .collect();
-    let stats = class_plan(&w, &trace, &faults).stats();
+    let plan = class_plan(&w, &trace, &faults);
+    let stats = plan.stats();
     assert_eq!(stats.faults, 2);
     assert_eq!(stats.unmodeled.text, 1, "{stats:?}");
     assert_eq!(stats.unmodeled.total(), 1, "{stats:?}");
     assert!(stats.singletons >= 1, "{stats:?}");
-    let (table, unmodeled) = prune_plan(&w, &trace, &faults);
-    assert_eq!(table[0], None, "patched word must run for real");
-    assert_eq!(unmodeled.text, 1);
+    assert_eq!(plan.decided[0], None, "patched word must run for real");
     // The same fault list against the unforged trace is fully modeled.
     let (_, clean) = golden_trace(&w);
-    let (_, unmodeled) = prune_plan(&w, &clean, &faults);
-    assert_eq!(unmodeled.total(), 0);
+    assert_eq!(class_plan(&w, &clean, &faults).stats().unmodeled.total(), 0);
 }
 
 /// The SIRA-32 FPR regression at the plan level: the sampler never
@@ -336,38 +332,6 @@ fn sira32_fpr_faults_form_unmodeled_singletons() {
     assert_eq!(stats.unmodeled.total(), 4);
     assert!(stats.singletons >= 4, "unmodeled faults execute for real");
     assert_eq!(stats.faults, 5);
-}
-
-#[test]
-fn classes_compose_with_prune_dead() {
-    let w = workload(App::Ep, Model::Serial, 1, IsaKind::Sira64);
-    let config = ep_config(200);
-    let dead = run_campaign(
-        &w,
-        &CampaignConfig {
-            prune_dead: true,
-            ..config.clone()
-        },
-    );
-    let both = run_campaign(
-        &w,
-        &CampaignConfig {
-            prune_dead: true,
-            prune_classes: true,
-            ..config
-        },
-    );
-    // Composition: the class layer's decided table is the dead-value
-    // verdict table, so turning both modes on changes nothing about the
-    // dead subset — or any other record.
-    assert_eq!(dead.to_json(), both.to_json(), "{}", w.id);
-    assert_eq!(
-        dead.pruned, both.pruned,
-        "composed modes must decide the identical fault subset"
-    );
-    // Every oracle-decided record is synthesized, never a class member.
-    let stats = both.classes.expect("class stats present");
-    assert_eq!(u64::from(stats.decided), both.pruned);
 }
 
 fn temp_sink(tag: &str) -> PathBuf {

@@ -2,7 +2,10 @@
 //! corners — error exits with correct output, empty golden output, and
 //! harness panics versus guest hangs.
 
-use fracas_inject::{classify, run_campaign_with, CampaignConfig, Outcome, Workload};
+use fracas_inject::{
+    classify, run_fleet_with, CampaignConfig, CampaignResult, FleetConfig, Injector, Outcome,
+    RecordSink, Workload,
+};
 use fracas_isa::IsaKind;
 use fracas_kernel::{RunOutcome, RunReport};
 use fracas_npb::{App, Model, Scenario};
@@ -72,6 +75,23 @@ fn small_config() -> CampaignConfig {
     }
 }
 
+/// One campaign driven through an explicit injection primitive: the
+/// fleet over a one-workload sweep with no sink.
+fn campaign_with(w: &Workload, config: &CampaignConfig, injector: &Injector) -> CampaignResult {
+    let fleet = FleetConfig {
+        campaign: config.clone(),
+        ..FleetConfig::default()
+    };
+    run_fleet_with(
+        std::slice::from_ref(w),
+        &fleet,
+        &mut RecordSink::disabled(),
+        injector,
+    )
+    .pop()
+    .expect("one result per workload")
+}
+
 /// An injector that reports a watchdog expiry classifies as Hang — the
 /// guest outcome — while an injector that *panics on the host* must be
 /// recorded as Anomaly, never Hang: a harness defect outranks whatever
@@ -81,7 +101,7 @@ fn harness_panic_outranks_guest_hang() {
     let workload = small_workload();
     let config = small_config();
 
-    let hung = run_campaign_with(&workload, &config, &|_, _, _, _| RunReport {
+    let hung = campaign_with(&workload, &config, &|_, _, _, _| RunReport {
         outcome: RunOutcome::CycleLimit,
         console: Vec::new(),
         console_len: 0,
@@ -96,7 +116,7 @@ fn harness_panic_outranks_guest_hang() {
     assert_eq!(hung.tally.hang, config.faults as u64);
     assert!(hung.records.iter().all(|r| r.outcome == Outcome::Hang));
 
-    let anomalous = run_campaign_with(&workload, &config, &|_, _, _, _| {
+    let anomalous = campaign_with(&workload, &config, &|_, _, _, _| {
         panic!("simulated worker defect")
     });
     assert_eq!(anomalous.tally.anomaly, config.faults as u64);

@@ -1,10 +1,11 @@
-//! Orchestrator test sweep: differential equivalence against
-//! `run_campaign`, deterministic crash-safe resume through the record
-//! sink, statistical early stopping, and per-injection panic isolation.
+//! Orchestrator test sweep: deterministic crash-safe resume through the
+//! record sink, statistical early stopping, and per-injection panic
+//! isolation.
 
 use fracas_inject::{
-    inject_one, run_campaign, run_campaign_with, run_fleet, run_fleet_with, run_fleet_with_sink,
-    CampaignConfig, Fault, FaultSpace, FaultTarget, FleetConfig, Outcome, RecordSink, Workload,
+    inject_one, run_campaign, run_fleet, run_fleet_with, run_fleet_with_sink, CampaignConfig,
+    CampaignResult, Fault, FaultSpace, FaultTarget, FleetConfig, Injector, Outcome, RecordSink,
+    Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -15,7 +16,7 @@ fn workload(app: App, model: Model, cores: u32, isa: IsaKind) -> Workload {
     Workload::from_scenario(&scenario).expect("build")
 }
 
-/// The serial/OMP/MPI mini-sweep the differential suite runs on.
+/// The serial/OMP/MPI mini-sweep the fleet-level panic test runs on.
 fn mini_workloads() -> Vec<Workload> {
     vec![
         workload(App::Is, Model::Serial, 1, IsaKind::Sira64),
@@ -31,24 +32,21 @@ fn mini_config(faults: usize) -> CampaignConfig {
     }
 }
 
-#[test]
-fn fleet_without_early_stop_matches_run_campaign_byte_for_byte() {
-    let workloads = mini_workloads();
-    let config = FleetConfig {
-        campaign: mini_config(24),
+/// One campaign driven through an explicit injection primitive: the
+/// fleet over a one-workload sweep with no sink.
+fn campaign_with(w: &Workload, config: &CampaignConfig, injector: &Injector) -> CampaignResult {
+    let fleet = FleetConfig {
+        campaign: config.clone(),
         ..FleetConfig::default()
     };
-    let fleet = run_fleet(&workloads, &config);
-    assert_eq!(fleet.len(), workloads.len());
-    for (w, fleet_result) in workloads.iter().zip(&fleet) {
-        let solo = run_campaign(w, &config.campaign);
-        assert_eq!(
-            fleet_result.to_json(),
-            solo.to_json(),
-            "orchestrator diverged from run_campaign on {}",
-            w.id
-        );
-    }
+    run_fleet_with(
+        std::slice::from_ref(w),
+        &fleet,
+        &mut RecordSink::disabled(),
+        injector,
+    )
+    .pop()
+    .expect("one result per workload")
 }
 
 #[test]
@@ -156,7 +154,7 @@ fn audit_report_survives_kill_and_resume_bit_identically() {
     let config = FleetConfig {
         campaign: CampaignConfig {
             faults: 50,
-            prune_dead: true,
+            prune_classes: true,
             oracle_audit: 0.5,
             ..CampaignConfig::default()
         },
@@ -257,7 +255,7 @@ fn panicking_injection_becomes_anomaly_record_in_campaign() {
     };
     let clean = run_campaign(&w, &config);
     let poison = clean.records[5].fault;
-    let faulty = run_campaign_with(&w, &config, &move |wl, fault, cps, limits| {
+    let faulty = campaign_with(&w, &config, &move |wl, fault, cps, limits| {
         assert!(*fault != poison, "worker panics on the poisoned fault");
         inject_one(wl, fault, cps, limits)
     });
@@ -318,7 +316,7 @@ fn out_of_range_flip_coordinates_surface_as_anomaly_records() {
             ),
         ),
     ];
-    let result = run_campaign_with(&w, &config, &move |wl, fault, cps, limits| {
+    let result = campaign_with(&w, &config, &move |wl, fault, cps, limits| {
         let fault = poisoned
             .iter()
             .find(|(original, _)| original == fault)

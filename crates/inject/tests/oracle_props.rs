@@ -15,7 +15,7 @@ mod common;
 
 use common::build_workload;
 use fracas_inject::{
-    classify, golden_run_with_checkpoints, golden_trace, inject_one, prune_table, Fault,
+    class_plan, classify, golden_run_with_checkpoints, golden_trace, inject_one, Fault,
     FaultTarget, Workload,
 };
 use fracas_isa::IsaKind;
@@ -92,7 +92,7 @@ fn check_conservative(workload: &Workload, faults: &[Fault]) -> Result<usize, Te
         max_cycles: (report.cycles * 4).max(report.cycles + 100_000),
         max_steps: (report.total_instructions() * 8).max(1_000_000),
     };
-    let table = prune_table(workload, &trace, faults);
+    let table = class_plan(workload, &trace, faults).decided;
     let mut decided = 0;
     for (fault, verdict) in faults.iter().zip(&table) {
         let Some(claimed) = verdict else { continue };

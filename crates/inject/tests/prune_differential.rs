@@ -1,11 +1,12 @@
-//! Prune-vs-full differential: a `prune_dead` campaign must produce a
-//! byte-identical database to the unpruned campaign on real NPB
+//! Prune-vs-full differential: a `prune_classes` campaign must produce
+//! a byte-identical database to the unpruned campaign on real NPB
 //! scenarios — same records, same order, same serialisation — while
-//! actually short-circuiting a meaningful share of the injections.
+//! its decided tier alone short-circuits a meaningful share of the
+//! injections.
 
 use fracas_inject::{
-    campaign_faults, golden_trace, prune_table, run_campaign, CampaignConfig, CampaignResult,
-    Workload,
+    campaign_faults, class_plan, golden_trace, run_campaign, CampaignConfig, CampaignResult,
+    InjectionRecord, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -24,17 +25,24 @@ fn differential(app: App, isa: IsaKind, faults: usize) -> CampaignResult {
     let pruned = run_campaign(
         &workload,
         &CampaignConfig {
-            prune_dead: true,
+            prune_classes: true,
             ..config
         },
     );
+    // Record for record, up to the in-memory class marker that names a
+    // member's representative.
+    let unmarked: Vec<_> = pruned
+        .records
+        .iter()
+        .map(|r| InjectionRecord { rep: None, ..*r })
+        .collect();
     assert_eq!(
-        full.records, pruned.records,
+        full.records, unmarked,
         "{}: pruned campaign diverged from the full campaign",
         workload.id
     );
     // The serialised databases are byte-identical too: the prune
-    // counter is deliberately not part of the JSON.
+    // counter and class markers are deliberately not part of the JSON.
     assert_eq!(full.to_json(), pruned.to_json(), "{}", workload.id);
     assert_eq!(full.pruned, 0);
     pruned
@@ -50,8 +58,9 @@ fn ep_sira64_prunes_identically() {
     let pruned = differential(App::Ep, IsaKind::Sira64, 50);
     assert!(pruned.pruned > 0, "no fault was decided statically");
     // The expected skip set is derived from the oracle itself rather
-    // than hard-coded: re-running the trace digest over the same fault
-    // list must decide exactly `pruned.pruned` faults, and every decided
+    // than hard-coded: re-planning the same fault list against the
+    // golden trace must decide exactly `pruned.pruned` faults, and every
+    // decided
     // fault's verdict must equal the outcome the (byte-identical,
     // execution-validated) record stream carries. This pins the
     // oracle's *claims* to reality without freezing its coverage — a
@@ -66,7 +75,7 @@ fn ep_sira64_prunes_identically() {
     };
     let (report, trace) = golden_trace(&workload);
     let faults = campaign_faults(&workload, &config, report.cycles);
-    let table = prune_table(&workload, &trace, &faults);
+    let table = class_plan(&workload, &trace, &faults).decided;
     let decided = table.iter().flatten().count() as u64;
     assert_eq!(
         pruned.pruned, decided,

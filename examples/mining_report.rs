@@ -11,9 +11,13 @@ use fracas::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let isa = IsaKind::Sira64;
-    let config = CampaignConfig {
-        faults: 80,
-        ..CampaignConfig::default()
+    let config = FleetConfig {
+        campaign: CampaignConfig {
+            faults: 80,
+            ..CampaignConfig::default()
+        },
+        progress: true,
+        ..FleetConfig::default()
     };
 
     // A small but varied slice of the suite.
@@ -31,9 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .flatten()
     .collect();
 
-    let db: Database = fracas::campaign_suite(&scenarios, &config, |done, total, r| {
-        eprintln!("  [{done}/{total}] {}", r.id);
-    })?;
+    let db: Database = fracas::sweep_scenarios(&scenarios, &config)?;
 
     println!(
         "\n{:<18} {:>10} {:>8} {:>8} {:>8} {:>9}",

@@ -151,12 +151,16 @@ fn campaign_to_mining_pipeline() {
     .into_iter()
     .flatten()
     .collect();
-    let config = CampaignConfig {
-        faults: 40,
-        threads: 1,
-        ..CampaignConfig::default()
+    let config = FleetConfig {
+        campaign: CampaignConfig {
+            faults: 40,
+            threads: 1,
+            ..CampaignConfig::default()
+        },
+        progress: true,
+        ..FleetConfig::default()
     };
-    let db = fracas::campaign_suite(&scenarios, &config, |_, _, _| {}).unwrap();
+    let db = fracas::sweep_scenarios(&scenarios, &config).unwrap();
 
     let rows = fracas::mine::mismatch_rows(&db, isa);
     assert_eq!(rows.len(), 1);
