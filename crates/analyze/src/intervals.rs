@@ -93,6 +93,23 @@ pub enum Fingerprint {
     },
 }
 
+/// Where a live fault's landing interval ends on the clock: the core
+/// that executes the interval-ending op and that core's clock at the end
+/// of the op's tick ([`PruneOracle::horizon`]).
+///
+/// Clocks are monotone over ticks, so a tick boundary at which `core`'s
+/// clock is still below `cycle` lies before the interval-ending op: the
+/// faulty run's state there is the golden state plus the flip. That is
+/// what lets a class representative start from a checkpoint inside its
+/// interval instead of replaying up to its own landing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Horizon {
+    /// Core the interval-ending op acts on.
+    pub core: usize,
+    /// `core`'s clock at the end of that op's tick.
+    pub cycle: u64,
+}
+
 /// FNV-1a, the same cheap deterministic hash the campaign seeds use.
 struct Fnv(u64);
 
@@ -119,32 +136,22 @@ fn hash_regset(h: &mut Fnv, s: RegSet) {
     h.u32(s.flags as u32);
 }
 
-fn hash_op(h: &mut Fnv, op: Op) {
+fn hash_op(h: &mut Fnv, op: Op, oracle: &PruneOracle) {
     match op {
-        Op::Exec {
-            core,
-            uses,
-            defs,
-            uses_all_gprs,
-            pc,
-            ctrl,
-        } => {
+        Op::Exec { core, pc } => {
+            let fx = oracle.fx(pc);
             h.u32(1);
             h.u32(core);
-            hash_regset(h, uses);
-            hash_regset(h, defs);
-            h.u32(uses_all_gprs as u32);
+            hash_regset(h, fx.uses);
+            hash_regset(h, fx.defs);
+            h.u32(fx.uses_all_gprs as u32);
             h.u32(pc);
-            h.u32(ctrl as u32);
+            h.u32(fx.ctrl as u32);
         }
-        Op::Skip {
-            core,
-            cond_flags,
-            pc,
-        } => {
+        Op::Skip { core, pc } => {
             h.u32(2);
             h.u32(core);
-            h.u32(cond_flags as u32);
+            h.u32(oracle.fx(pc).cond_flags as u32);
             h.u32(pc);
         }
         Op::Dispatch { core, tid } => {
@@ -167,23 +174,18 @@ fn hash_op(h: &mut Fnv, op: Op) {
 /// Does `op` interact with `target` while the flip sits (only) on core
 /// `k`'s register file? These are exactly the interval boundaries — see
 /// the module docs.
-fn interacts(op: Op, core: u32, tset: RegSet, is_pc: bool) -> bool {
+fn interacts(op: Op, oracle: &PruneOracle, core: u32, tset: RegSet, is_pc: bool) -> bool {
     match op {
-        Op::Exec {
-            core: c,
-            uses,
-            defs,
-            uses_all_gprs,
-            ..
-        } => {
+        Op::Exec { core: c, pc } => {
+            let fx = oracle.fx(pc);
             c == core
-                && (is_pc || uses.union(defs).intersects(tset) || (uses_all_gprs && tset.gprs != 0))
+                && (is_pc
+                    || fx.uses.union(fx.defs).intersects(tset)
+                    || (fx.uses_all_gprs && tset.gprs != 0))
         }
-        Op::Skip {
-            core: c,
-            cond_flags,
-            ..
-        } => c == core && (is_pc || cond_flags & tset.flags != 0),
+        Op::Skip { core: c, pc } => {
+            c == core && (is_pc || oracle.fx(pc).cond_flags & tset.flags != 0)
+        }
         Op::Dispatch { core: c, .. } | Op::Save { core: c, .. } => c == core,
         Op::CtxWrite { .. } => false,
     }
@@ -223,7 +225,7 @@ impl PruneOracle {
                     break;
                 }
             }
-            if interacts(self.ops[i], core, tset, is_pc) {
+            if interacts(self.ops[i], self, core, tset, is_pc) {
                 return i;
             }
             i += 1;
@@ -276,6 +278,27 @@ impl PruneOracle {
         })
     }
 
+    /// The [`Horizon`] of a live fingerprint's interval: the acting core
+    /// of op `interval` and that core's end-of-tick clock, read from its
+    /// landing table. `None` for a decided fingerprint and for an
+    /// interval that never ends (`interval == ops.len()`).
+    pub fn horizon(&self, fingerprint: Fingerprint) -> Option<Horizon> {
+        let Fingerprint::Live { interval, .. } = fingerprint else {
+            return None;
+        };
+        // `ops` skips `TextPatch` events, so the interval indexes ops,
+        // never raw trace events.
+        let core = self.ops.get(interval as usize)?.core()?;
+        let landings = &self.landings[core as usize];
+        let i = landings
+            .binary_search_by_key(&interval, |&(_, idx)| idx)
+            .ok()?;
+        Some(Horizon {
+            core: core as usize,
+            cycle: landings[i].0,
+        })
+    }
+
     /// FNV-1a over the `CONTEXT_WINDOW` ops starting at `end` — the
     /// context half of a live fingerprint. The window is anchored at the
     /// interval's *end* so that every landing inside the interval hashes
@@ -285,7 +308,7 @@ impl PruneOracle {
     pub(crate) fn context_hash(&self, end: usize) -> u64 {
         let mut h = Fnv::new();
         for &op in &self.ops[end.min(self.ops.len())..(end + CONTEXT_WINDOW).min(self.ops.len())] {
-            hash_op(&mut h, op);
+            hash_op(&mut h, op, self);
         }
         h.0
     }
@@ -408,6 +431,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn horizon_is_the_interval_ending_op_on_the_clock() {
+        let o = oracle();
+        // Cycle 21 crosses on tick 1 (clock 30); the flip sits from
+        // tick 2 on, whose add reads r3 and ends at clock 40.
+        let fp = o.fingerprint(0, R3, 21).unwrap();
+        assert_eq!(fp, o.fingerprint(0, R3, 25).unwrap());
+        assert_eq!(o.horizon(fp), Some(Horizon { core: 0, cycle: 40 }));
+        let first = o.fingerprint(0, R3, 11).unwrap();
+        assert_eq!(o.horizon(first), Some(Horizon { core: 0, cycle: 30 }));
+        // Decided classes and never-ending intervals have no horizon.
+        let dead = o.fingerprint(0, PruneTarget::Gpr { reg: 9 }, 15).unwrap();
+        assert_eq!(o.horizon(dead), None);
+        let open = Fingerprint::Live {
+            interval: o.ops.len() as u32,
+            context: 0,
+        };
+        assert_eq!(o.horizon(open), None);
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub mod usedef;
 
 pub use avf::{dead_windows, static_avf, StaticAvf};
 pub use cfg::{writes_pc, BasicBlock, Cfg};
-pub use intervals::Fingerprint;
+pub use intervals::{Fingerprint, Horizon};
 pub use liveness::{all_regs, Liveness};
-pub use prune::{PruneOracle, PruneTarget, PruneVerdict};
+pub use prune::{OracleBuilder, PruneOracle, PruneTarget, PruneVerdict};
 pub use skipfault::{analyze_skips, skip_class, SkipClass, SkipComposition};
 pub use textfault::{analyze_text, cfg_reachable_words, flip_class, FlipClass, TextComposition};
 pub use usedef::{cond_reads, use_def, RegSet, UseDef, FLAG_ALL, FLAG_C, FLAG_N, FLAG_V, FLAG_Z};

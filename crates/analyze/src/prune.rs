@@ -78,7 +78,7 @@
 //! is excluded from the context hash, so PC residue also vanishes.
 
 use crate::usedef::RegSet;
-use fracas_cpu::{ExecTrace, TraceKind};
+use fracas_cpu::{ExecTrace, TraceEvent, TraceKind};
 use fracas_isa::{CtrlFlow, Effects, Inst, InstKind, IsaKind};
 
 /// The architectural location a fault flips (already folded to one
@@ -155,28 +155,21 @@ pub enum PruneVerdict {
     SilentResidue,
 }
 
-/// One pre-digested trace event (use/def masks resolved once at oracle
-/// construction so each per-fault walk is mask arithmetic only). The
-/// committed PC and control-flow class ride along for the def→use
-/// interval fingerprints ([`crate::intervals`]); the walk itself never
-/// reads them.
+/// One digested trace event. A commit carries only its core and PC: its
+/// use/def summary is a function of the instruction at that PC, so it is
+/// resolved once per text word ([`WordFx`]) instead of once per commit,
+/// which keeps an op at 12 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
-    /// Executed commit with its use/def summary.
+    /// Executed commit; its effects are [`PruneOracle::fx`] of `pc`.
     Exec {
         core: u32,
-        uses: RegSet,
-        defs: RegSet,
-        uses_all_gprs: bool,
         pc: u32,
-        /// Control-flow class of the instruction (see [`ctrl_class`]).
-        ctrl: u8,
     },
     /// Annulled commit: reads only its condition's flags (and the
     /// fetch PC).
     Skip {
         core: u32,
-        cond_flags: u8,
         pc: u32,
     },
     Dispatch {
@@ -190,6 +183,62 @@ pub(crate) enum Op {
     CtxWrite {
         tid: u32,
     },
+}
+
+/// What committing one text word does to the register file, resolved
+/// once per word so each per-fault walk is mask arithmetic only. The
+/// control-flow class rides along for the def→use interval
+/// fingerprints ([`crate::intervals`]); the walk itself never reads it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordFx {
+    /// Registers an executed commit may read.
+    pub(crate) uses: RegSet,
+    /// Registers an executed commit fully overwrites.
+    pub(crate) defs: RegSet,
+    /// Whether an executed commit reads every GPR (an unmodelled `svc`).
+    pub(crate) uses_all_gprs: bool,
+    /// Control-flow class of the instruction (see [`ctrl_class`]).
+    pub(crate) ctrl: u8,
+    /// Flags an annulled commit reads (its condition).
+    pub(crate) cond_flags: u8,
+}
+
+impl WordFx {
+    fn of(isa: IsaKind, inst: &Inst) -> WordFx {
+        let fx = Effects::of(isa, inst);
+        let mut uses = fx.uses;
+        let mut defs = fx.defs;
+        let mut uses_all_gprs = fx.uses_all_gprs;
+        if let InstKind::Svc { imm } = inst.kind {
+            if let Some((arg_mask, rets)) = svc_regs(isa, imm) {
+                // Precise kernel ABI: drop the read-every-GPR barrier
+                // (flag/FPR halves — condition reads — survive).
+                uses.gprs |= arg_mask;
+                defs.gprs |= u32::from(rets);
+                uses_all_gprs = false;
+            }
+        }
+        WordFx {
+            uses,
+            defs,
+            uses_all_gprs,
+            ctrl: ctrl_class(fx.ctrl),
+            cond_flags: crate::usedef::cond_reads(inst.cond),
+        }
+    }
+
+    /// A commit outside the known text (impossible in a golden run)
+    /// degrades to a read-everything barrier: the oracle abstains on any
+    /// live taint.
+    fn outside(isa: IsaKind) -> WordFx {
+        WordFx {
+            uses: crate::liveness::all_regs(isa),
+            defs: RegSet::EMPTY,
+            uses_all_gprs: true,
+            ctrl: CTRL_UNKNOWN,
+            cond_flags: crate::usedef::FLAG_ALL,
+        }
+    }
 }
 
 /// A small dense encoding of [`CtrlFlow`] for interval-context hashing:
@@ -260,7 +309,7 @@ fn svc_regs(isa: IsaKind, imm: u16) -> Option<(u32, bool)> {
 }
 
 impl Op {
-    fn core(self) -> Option<u32> {
+    pub(crate) fn core(self) -> Option<u32> {
         match self {
             Op::Exec { core, .. }
             | Op::Skip { core, .. }
@@ -350,13 +399,17 @@ impl Taint {
 #[derive(Debug, Clone)]
 pub struct PruneOracle {
     pub(crate) ops: Vec<Op>,
+    /// Per text word: its [`WordFx`].
+    word_fx: Vec<WordFx>,
+    /// The effects of a commit outside the text section.
+    outside_fx: WordFx,
     /// Tick of each op (ops are tick-ordered).
     ticks: Vec<u64>,
     pub(crate) chunks: Vec<Chunk>,
     /// Per core: `(end-of-tick cycle, op index)` of every commit,
     /// dispatch and save on that core, cycle-sorted (clocks are
     /// monotone).
-    landings: Vec<Vec<(u64, u32)>>,
+    pub(crate) landings: Vec<Vec<(u64, u32)>>,
     start_cycles: Vec<u64>,
     tid_count: usize,
     /// ISA the text was assembled for (decode-differential analysis).
@@ -377,6 +430,133 @@ pub struct PruneOracle {
     /// word's PC, on any core. Built on first text query so
     /// register-only campaigns pay nothing.
     pub(crate) fetch_index: std::sync::OnceLock<std::collections::HashMap<u32, Vec<u32>>>,
+}
+
+/// Builds a [`PruneOracle`] one trace event at a time, so a golden run
+/// can be digested while it is recorded instead of after: the caller
+/// drains the run's trace buffer at tick boundaries
+/// ([`ExecTrace::drain_closed`]) and never holds the whole trace.
+/// [`PruneOracle::new`] is this builder fed a finished trace; both yield
+/// the same oracle.
+#[derive(Debug)]
+pub struct OracleBuilder {
+    isa: IsaKind,
+    text_base: u32,
+    words: Vec<u32>,
+    word_fx: Vec<WordFx>,
+    start_cycles: Vec<u64>,
+    ops: Vec<Op>,
+    ticks: Vec<u64>,
+    landings: Vec<Vec<(u64, u32)>>,
+    tid_count: usize,
+    patched_words: std::collections::HashSet<u32>,
+}
+
+impl OracleBuilder {
+    /// An empty digest of a run whose trace started at the per-core
+    /// clocks `start_cycles` ([`ExecTrace::start_cycles`]), against the
+    /// decoded text section (`text[i]` is the instruction at
+    /// `text_base + 4 * i`).
+    pub fn new(
+        isa: IsaKind,
+        text: &[Inst],
+        text_base: u32,
+        start_cycles: Vec<u64>,
+    ) -> OracleBuilder {
+        OracleBuilder {
+            isa,
+            text_base,
+            words: text.iter().map(fracas_isa::encode).collect(),
+            word_fx: text.iter().map(|inst| WordFx::of(isa, inst)).collect(),
+            landings: vec![Vec::new(); start_cycles.len()],
+            start_cycles,
+            ops: Vec::new(),
+            ticks: Vec::new(),
+            tid_count: 0,
+            patched_words: std::collections::HashSet::new(),
+        }
+    }
+
+    /// Digests the next event of the trace (events must arrive in trace
+    /// order, stamped: drain closed ticks only).
+    pub fn push(&mut self, ev: &TraceEvent) {
+        // A text patch contributes no op: the register analyses and
+        // every op/tick/landing index stay exactly as they were before
+        // the event existed.
+        if let TraceKind::TextPatch { word } = ev.kind {
+            self.patched_words.insert(word);
+            return;
+        }
+        let idx = self.ops.len() as u32;
+        let op = match ev.kind {
+            TraceKind::Commit { pc, skipped: false } => Op::Exec { core: ev.core, pc },
+            TraceKind::Commit { pc, skipped: true } => Op::Skip { core: ev.core, pc },
+            TraceKind::Dispatch { tid } => Op::Dispatch { core: ev.core, tid },
+            TraceKind::Save { tid } => Op::Save { core: ev.core, tid },
+            TraceKind::CtxWrite { tid } => Op::CtxWrite { tid },
+            TraceKind::TextPatch { .. } => unreachable!("handled above"),
+        };
+        if let Op::Dispatch { tid, .. } | Op::Save { tid, .. } | Op::CtxWrite { tid } = op {
+            self.tid_count = self.tid_count.max(tid as usize + 1);
+        }
+        if op.core().is_some() {
+            self.landings[ev.core as usize].push((ev.cycle, idx));
+        }
+        self.ops.push(op);
+        self.ticks.push(ev.tick);
+    }
+
+    /// The finished oracle.
+    pub fn finish(mut self) -> PruneOracle {
+        // Growth slack of a digest fed while the run was recorded.
+        self.ops.shrink_to_fit();
+        self.ticks.shrink_to_fit();
+        for landings in &mut self.landings {
+            landings.shrink_to_fit();
+        }
+        let mut oracle = PruneOracle {
+            ops: self.ops,
+            word_fx: self.word_fx,
+            outside_fx: WordFx::outside(self.isa),
+            ticks: self.ticks,
+            chunks: Vec::new(),
+            landings: self.landings,
+            start_cycles: self.start_cycles,
+            tid_count: self.tid_count,
+            isa: self.isa,
+            words: self.words,
+            text_base: self.text_base,
+            patched_words: self.patched_words,
+            fetch_index: std::sync::OnceLock::new(),
+        };
+        oracle.chunks = oracle
+            .ops
+            .chunks(CHUNK)
+            .map(|ops| {
+                let mut c = Chunk::default();
+                for op in ops {
+                    match *op {
+                        Op::Exec { core, pc } => {
+                            let fx = oracle.fx(pc);
+                            c.uses = c.uses.union(fx.uses);
+                            c.defs = c.defs.union(fx.defs);
+                            c.uses_all_gprs |= fx.uses_all_gprs;
+                            c.commit_cores |= 1 << core.min(63);
+                        }
+                        Op::Skip { core, pc } => {
+                            c.uses.flags |= oracle.fx(pc).cond_flags;
+                            c.commit_cores |= 1 << core.min(63);
+                        }
+                        Op::Dispatch { .. } | Op::Save { .. } | Op::CtxWrite { .. } => {
+                            c.sched = true
+                        }
+                    }
+                }
+                c
+            })
+            .collect();
+        oracle
+    }
 }
 
 /// Where a fault at `(core, cycle)` physically lands in the golden
@@ -400,128 +580,20 @@ impl PruneOracle {
     /// the bundled workloads never self-patch, so the set is empty for
     /// every real golden run.
     pub fn new(isa: IsaKind, text: &[Inst], text_base: u32, trace: &ExecTrace) -> PruneOracle {
-        let mut ops = Vec::with_capacity(trace.events.len());
-        let mut ticks = Vec::with_capacity(trace.events.len());
-        let mut landings: Vec<Vec<(u64, u32)>> = vec![Vec::new(); trace.start_cycles.len()];
-        let mut tid_count = 0usize;
-        let mut patched_words = std::collections::HashSet::new();
+        let mut builder = OracleBuilder::new(isa, text, text_base, trace.start_cycles.clone());
+        builder.ops.reserve_exact(trace.events.len());
+        builder.ticks.reserve_exact(trace.events.len());
         for ev in &trace.events {
-            // A text patch contributes no op: the register analyses and
-            // every op/tick/landing index stay exactly as they were
-            // before the event existed.
-            if let TraceKind::TextPatch { word } = ev.kind {
-                patched_words.insert(word);
-                continue;
-            }
-            let idx = ops.len() as u32;
-            let op = match ev.kind {
-                TraceKind::Commit { pc, skipped } => {
-                    let text_idx = (pc.wrapping_sub(text_base) / 4) as usize;
-                    let inst = text.get(text_idx);
-                    if skipped {
-                        Op::Skip {
-                            core: ev.core,
-                            cond_flags: inst.map_or(crate::usedef::FLAG_ALL, |i| {
-                                crate::usedef::cond_reads(i.cond)
-                            }),
-                            pc,
-                        }
-                    } else if let Some(i) = inst {
-                        let fx = Effects::of(isa, i);
-                        let mut uses = fx.uses;
-                        let mut defs = fx.defs;
-                        let mut uses_all_gprs = fx.uses_all_gprs;
-                        if let InstKind::Svc { imm } = i.kind {
-                            if let Some((arg_mask, rets)) = svc_regs(isa, imm) {
-                                // Precise kernel ABI: drop the
-                                // read-every-GPR barrier (flag/FPR
-                                // halves — condition reads — survive).
-                                uses.gprs |= arg_mask;
-                                defs.gprs |= u32::from(rets);
-                                uses_all_gprs = false;
-                            }
-                        }
-                        Op::Exec {
-                            core: ev.core,
-                            uses,
-                            defs,
-                            uses_all_gprs,
-                            pc,
-                            ctrl: ctrl_class(fx.ctrl),
-                        }
-                    } else {
-                        // A commit outside the known text (impossible in
-                        // a golden run) degrades to a read-everything
-                        // barrier: the oracle abstains on any live taint.
-                        Op::Exec {
-                            core: ev.core,
-                            uses: crate::liveness::all_regs(isa),
-                            defs: RegSet::EMPTY,
-                            uses_all_gprs: true,
-                            pc,
-                            ctrl: CTRL_UNKNOWN,
-                        }
-                    }
-                }
-                TraceKind::Dispatch { tid } => Op::Dispatch { core: ev.core, tid },
-                TraceKind::Save { tid } => Op::Save { core: ev.core, tid },
-                TraceKind::CtxWrite { tid } => Op::CtxWrite { tid },
-                TraceKind::TextPatch { .. } => unreachable!("filtered above"),
-            };
-            if let Op::Dispatch { tid, .. } | Op::Save { tid, .. } | Op::CtxWrite { tid } = op {
-                tid_count = tid_count.max(tid as usize + 1);
-            }
-            if op.core().is_some() {
-                landings[ev.core as usize].push((ev.cycle, idx));
-            }
-            ops.push(op);
-            ticks.push(ev.tick);
+            builder.push(ev);
         }
-        let chunks = ops
-            .chunks(CHUNK)
-            .map(|ops| {
-                let mut c = Chunk::default();
-                for op in ops {
-                    match *op {
-                        Op::Exec {
-                            core,
-                            uses,
-                            defs,
-                            uses_all_gprs,
-                            ..
-                        } => {
-                            c.uses = c.uses.union(uses);
-                            c.defs = c.defs.union(defs);
-                            c.uses_all_gprs |= uses_all_gprs;
-                            c.commit_cores |= 1 << core.min(63);
-                        }
-                        Op::Skip {
-                            core, cond_flags, ..
-                        } => {
-                            c.uses.flags |= cond_flags;
-                            c.commit_cores |= 1 << core.min(63);
-                        }
-                        Op::Dispatch { .. } | Op::Save { .. } | Op::CtxWrite { .. } => {
-                            c.sched = true
-                        }
-                    }
-                }
-                c
-            })
-            .collect();
-        PruneOracle {
-            ops,
-            ticks,
-            chunks,
-            landings,
-            start_cycles: trace.start_cycles.clone(),
-            tid_count,
-            isa,
-            words: text.iter().map(fracas_isa::encode).collect(),
-            text_base,
-            patched_words,
-            fetch_index: std::sync::OnceLock::new(),
-        }
+        builder.finish()
+    }
+
+    /// The effects of committing the word at `pc` (indexed the way the
+    /// machine fetches: `(pc - text_base) / 4`).
+    pub(crate) fn fx(&self, pc: u32) -> &WordFx {
+        let word = (pc.wrapping_sub(self.text_base) / 4) as usize;
+        self.word_fx.get(word).unwrap_or(&self.outside_fx)
     }
 
     /// Where a fault at `(core, cycle)` lands, or `None` for a core the
@@ -650,33 +722,26 @@ impl PruneOracle {
                 }
             }
             match self.ops[i] {
-                Op::Exec {
-                    core,
-                    uses,
-                    defs,
-                    uses_all_gprs,
-                    ..
-                } => {
+                Op::Exec { core, pc } => {
                     if taint.core_is_tainted(core) {
                         if is_pc {
                             return None; // the fetch read the flipped PC
                         }
-                        if uses.intersects(tset) || (uses_all_gprs && tset.gprs != 0) {
+                        let fx = self.fx(pc);
+                        if fx.uses.intersects(tset) || (fx.uses_all_gprs && tset.gprs != 0) {
                             return None; // may propagate: run for real
                         }
-                        if tset.minus(defs) == RegSet::EMPTY {
+                        if tset.minus(fx.defs) == RegSet::EMPTY {
                             taint.clear_core(core);
                         }
                     }
                 }
-                Op::Skip {
-                    core, cond_flags, ..
-                } => {
+                Op::Skip { core, pc } => {
                     if taint.core_is_tainted(core) {
                         if is_pc {
                             return None;
                         }
-                        if cond_flags & tset.flags != 0 {
+                        if self.fx(pc).cond_flags & tset.flags != 0 {
                             return None;
                         }
                     }
@@ -878,6 +943,13 @@ mod tests {
             oracle2.verdict(0, PruneTarget::Gpr { reg: 2 }, 5),
             Some(PruneVerdict::Vanished)
         );
+    }
+
+    #[test]
+    fn ops_stay_compact() {
+        // A commit stores its core and PC only; its effects live once
+        // per text word. The oracle holds one op per golden event.
+        assert_eq!(std::mem::size_of::<Op>(), 12);
     }
 
     #[test]

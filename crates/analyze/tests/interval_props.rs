@@ -13,8 +13,13 @@
 //! family as the oracle conservativeness suite), plus two congruence
 //! properties: fingerprinting is deterministic, and a `Decided`
 //! fingerprint agrees with real execution at golden timing.
+//!
+//! A second property covers late landing: with a dense checkpoint
+//! ladder, a live fault started from the latest rung inside its landing
+//! interval (its [`Horizon`]) must record exactly what the same fault
+//! records when replayed up to its own landing.
 
-use fracas_analyze::{Fingerprint, PruneOracle, PruneTarget, PruneVerdict};
+use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_inject::{
     classify, golden_run_with_checkpoints, golden_trace, inject_one, prune_target, Fault,
     FaultTarget, Outcome, Workload,
@@ -162,7 +167,7 @@ fn check_exactness(
                 // Decided classes collapse by verdict with golden
                 // timing; one real execution per class validates both.
                 let fault = members[0];
-                let faulty = inject_one(workload, &fault, &checkpoints, &limits);
+                let faulty = inject_one(workload, &fault, &checkpoints, &limits, None);
                 let expected = match verdict {
                     PruneVerdict::Vanished => Outcome::Vanished,
                     PruneVerdict::SilentResidue => Outcome::Ona,
@@ -185,7 +190,7 @@ fn check_exactness(
                 }
                 let mut reference: Option<(Outcome, u64, u64)> = None;
                 for fault in members.iter().take(max_exec.max(2)) {
-                    let faulty = inject_one(workload, fault, &checkpoints, &limits);
+                    let faulty = inject_one(workload, fault, &checkpoints, &limits, None);
                     let observed = (
                         classify(&report, &faulty),
                         faulty.cycles,
@@ -308,4 +313,120 @@ fn live_classes_form_and_validate_on_the_mini_kernel() {
     let (live, decided) = check_exactness(&workload, &faults, 4).expect("exactness holds");
     assert!(live >= 4, "only {live} live-class member pairs checked");
     assert!(decided >= 4, "only {decided} decided classes checked");
+}
+
+/// Checkpoints requested for the late-landing property: the capturer
+/// keeps 32–64 rungs, at its finest stride on runs this short.
+const DENSE_LADDER: usize = 32;
+
+/// Runs every live fault of `faults` whose landing interval holds a rung
+/// twice — from that rung with the flip applied on restore, and
+/// replayed up to its own landing — and requires identical outcome,
+/// cycles and instructions. Returns `(live, late)`: the faults with a
+/// horizon, and those of them that started late.
+fn check_late_landing(
+    workload: &Workload,
+    faults: &[Fault],
+) -> Result<(usize, usize), TestCaseError> {
+    let isa = workload.image.isa;
+    let (report, trace) = golden_trace(workload);
+    let (_, _, ladder) = golden_run_with_checkpoints(workload, DENSE_LADDER);
+    let limits = Limits {
+        max_cycles: (report.cycles * 4).max(report.cycles + 100_000),
+        max_steps: (report.total_instructions() * 8).max(1_000_000),
+    };
+    let oracle = PruneOracle::new(isa, &workload.image.text, workload.image.text_base, &trace);
+    let (mut live, mut late) = (0, 0);
+    for fault in faults {
+        let Ok((core, target)) = prune_target(isa, fault) else {
+            continue;
+        };
+        let Some(horizon) = oracle
+            .fingerprint(core, target, fault.cycle)
+            .and_then(|fp| oracle.horizon(fp))
+        else {
+            continue;
+        };
+        live += 1;
+        if ladder
+            .latest_in_interval(fault.timing_core(), fault.cycle, horizon)
+            .is_none()
+        {
+            // No rung inside the interval: both runs take the same path.
+            continue;
+        }
+        late += 1;
+        let observe = |horizon: Option<Horizon>| {
+            let faulty = inject_one(workload, fault, &ladder, &limits, horizon);
+            (
+                classify(&report, &faulty),
+                faulty.cycles,
+                faulty.total_instructions(),
+            )
+        };
+        prop_assert_eq!(
+            observe(Some(horizon)),
+            observe(None),
+            "{}: late landing diverged from own landing on {:?} ({:?})",
+            &workload.id,
+            fault,
+            horizon
+        );
+    }
+    Ok((live, late))
+}
+
+/// Register faults (few registers, so long intervals recur) mixed with
+/// text faults on every word of the image, cycles spread across the
+/// whole run.
+fn mixed_faults(workload: &Workload, golden_cycles: u64, n: u64) -> Vec<Fault> {
+    let words = workload.image.text.len() as u64;
+    let mut faults = colliding_faults(workload.cores, golden_cycles, n);
+    for (i, fault) in faults.iter_mut().enumerate() {
+        let h = (i as u64)
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            .wrapping_add(0x94d0_49bb_1331_11eb);
+        if h.is_multiple_of(2) {
+            fault.target = FaultTarget::Text {
+                word: ((h >> 8) % words) as u32,
+                bit: ((h >> 24) % 32) as u32,
+            };
+        }
+    }
+    faults
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn late_landing_matches_own_landing(
+        sira64 in any::<bool>(),
+        cores in 1usize..3,
+        extra in 0u16..2,
+        iters in 20u64..101,
+        locked in any::<bool>(),
+        quantum in 60u64..401,
+        batch in 48u64..97,
+    ) {
+        let isa = if sira64 { IsaKind::Sira64 } else { IsaKind::Sira32 };
+        // `_start` plus at least `cores` workers: more threads than cores.
+        let workers = cores as u16 + extra;
+        let workload = build_workload(isa, cores, workers, iters, locked, quantum);
+        let (report, _) = golden_trace(&workload);
+        let faults = mixed_faults(&workload, report.cycles, batch);
+        check_late_landing(&workload, &faults)?;
+    }
+}
+
+/// Pins the late-landing property non-vacuous: on a fixed mini-kernel
+/// long enough for a few dozen rungs, enough live faults really start
+/// from a rung inside their interval.
+#[test]
+fn live_faults_land_late_on_the_mini_kernel() {
+    let workload = build_workload(IsaKind::Sira64, 2, 3, 100, true, 200);
+    let (report, _) = golden_trace(&workload);
+    let faults = mixed_faults(&workload, report.cycles, 160);
+    let (live, late) = check_late_landing(&workload, &faults).expect("late landing is exact");
+    assert!(late >= 10, "only {late} of {live} live faults landed late");
 }

@@ -79,14 +79,14 @@ fn bench_checkpoint_vs_boot_replay(c: &mut Criterion) {
     group.bench_function("resume", |b| {
         b.iter(|| {
             for f in &faults {
-                black_box(inject_one(&w, f, &checkpoints, &limits));
+                black_box(inject_one(&w, f, &checkpoints, &limits, None));
             }
         });
     });
     group.bench_function("boot_replay", |b| {
         b.iter(|| {
             for f in &faults {
-                black_box(inject_one(&w, f, &boot_only, &limits));
+                black_box(inject_one(&w, f, &boot_only, &limits, None));
             }
         });
     });

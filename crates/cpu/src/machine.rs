@@ -512,6 +512,12 @@ impl Machine {
         self.trace.take()
     }
 
+    /// The trace being recorded (`None` unless tracing is enabled), for
+    /// consumers that drain it as it grows ([`ExecTrace::drain_closed`]).
+    pub fn trace_mut(&mut self) -> Option<&mut ExecTrace> {
+        self.trace.as_mut()
+    }
+
     /// Records a context restore onto `core` (kernel dispatch hook).
     pub fn trace_dispatch(&mut self, core: usize, tid: u32) {
         if let Some(t) = &mut self.trace {
@@ -2430,6 +2436,25 @@ mod text_fault_tests {
         // `patch_text_word`, so both words are reported to the static
         // text-fault analysis.
         assert_eq!(patched, vec![1, 2]);
+    }
+
+    #[test]
+    fn draining_keeps_the_open_tick_and_the_tick_numbering() {
+        let image = nop_image();
+        let mut m = Machine::boot_flat(&image, 1);
+        m.enable_trace();
+        m.patch_text_word(1, 0xdead_beef);
+        m.trace_tick_end();
+        m.patch_text_word(2, 0xdead_beef);
+        let trace = m.trace_mut().expect("tracing is on");
+        let closed: Vec<u64> = trace.drain_closed().map(|e| e.tick).collect();
+        assert_eq!(closed, vec![0]);
+        assert_eq!(trace.events.len(), 1, "the open tick's event stays");
+        m.trace_tick_end();
+        let rest = m.take_trace().expect("tracing was on");
+        assert_eq!(rest.events.len(), 1);
+        assert_eq!(rest.events[0].tick, 1);
+        assert_eq!(rest.events[0].kind, TraceKind::TextPatch { word: 2 });
     }
 
     #[test]

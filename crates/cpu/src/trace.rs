@@ -134,6 +134,15 @@ impl ExecTrace {
         });
     }
 
+    /// Removes and returns the events of every closed tick, keeping
+    /// the open tick's events and the buffer's capacity. A consumer that
+    /// digests the stream while the run is recorded drains it at tick
+    /// boundaries, so the buffer never holds the whole run.
+    pub fn drain_closed(&mut self) -> std::vec::Drain<'_, TraceEvent> {
+        let closed = std::mem::take(&mut self.tick_start);
+        self.events.drain(..closed)
+    }
+
     /// Closes the open tick: stamps its events with the tick index and
     /// the per-core end-of-tick clocks supplied by `clock`.
     pub(crate) fn end_tick(&mut self, clock: impl Fn(u32) -> u64) {

@@ -31,15 +31,19 @@
 use crate::Outcome;
 use serde::{Deserialize, Serialize};
 
-/// One audited pruned fault: the oracle's claimed outcome re-checked by
-/// real execution.
+/// One audited claim: the outcome a record carries without an
+/// own-landing execution, re-checked by one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuditEntry {
-    /// Fault-list index of the pruned record.
+    /// Fault-list index of the audited record.
     pub index: u32,
-    /// The outcome the oracle proved (and the record carries).
+    /// The outcome the record carries: the oracle's verdict for a
+    /// decided fault, the representative's outcome for a class member,
+    /// the late-landed run's outcome for a representative started
+    /// inside its landing interval.
     pub oracle: Outcome,
-    /// The outcome real execution classified.
+    /// The outcome real execution from before the fault's own landing
+    /// classified.
     pub executed: Outcome,
 }
 

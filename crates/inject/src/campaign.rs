@@ -2,6 +2,8 @@
 //! merged result database (workflow phases 1–4 of §3.2.3/§3.2.4).
 
 use crate::{classify, CheckpointSet, Fault, FaultSpace, Outcome};
+use fracas_analyze::{Horizon, OracleBuilder, PruneOracle};
+use fracas_cpu::ExecTrace;
 use fracas_isa::Image;
 use fracas_kernel::{BootSpec, Kernel, Limits, RunReport};
 use fracas_npb::Scenario;
@@ -116,13 +118,15 @@ pub struct CampaignConfig {
     pub prune_classes: bool,
     /// Oracle-audit sampling rate in `[0, 1]` (`FRACAS_ORACLE_AUDIT`):
     /// with [`CampaignConfig::prune_classes`] on, this fraction of the
-    /// synthesized records — decided faults and non-representative class
-    /// members — is *also* executed for real and the classified outcome
-    /// diffed against the verdict or the representative's outcome
+    /// records that rest on a claim — decided faults, non-representative
+    /// class members, and representatives that started from a checkpoint
+    /// inside their landing interval — is *also* executed for real (a
+    /// representative from before its own landing) and the classified
+    /// outcome diffed against the verdict or the recorded outcome
     /// ([`crate::OracleAuditReport`]). The audited execution never
-    /// replaces a synthesized record — databases stay byte-identical at
-    /// any rate — it only feeds the report. `0.0` (default) disables
-    /// auditing; without pruning there is nothing to audit.
+    /// replaces a record — databases stay byte-identical at any rate —
+    /// it only feeds the report. `0.0` (default) disables auditing;
+    /// without pruning there is nothing to audit.
     pub oracle_audit: f64,
 }
 
@@ -435,23 +439,17 @@ pub struct CampaignResult {
     pub tally: Tally,
     /// Every injection's record.
     pub records: Vec<InjectionRecord>,
-    /// Injections whose outcome the static/trace analysis proved without
-    /// executing them (the decided tier of
-    /// [`CampaignConfig::prune_classes`]). A run-time
-    /// statistic, deliberately *not* serialized: pruning never changes a
-    /// record, so databases stay byte-identical with the mode on or off.
-    #[serde(skip)]
-    pub pruned: u64,
     /// The oracle-audit report ([`CampaignConfig::oracle_audit`]):
-    /// `None` unless auditing was enabled. Like [`CampaignResult::pruned`]
-    /// a run-time statistic, not serialized — auditing never changes a
-    /// record either.
+    /// `None` unless auditing was enabled. A run-time statistic,
+    /// deliberately *not* serialized: auditing never changes a record,
+    /// so databases stay byte-identical at any rate.
     #[serde(skip)]
     pub audit: Option<crate::OracleAuditReport>,
     /// Equivalence-class collapse statistics
-    /// ([`CampaignConfig::prune_classes`]): `None` unless class pruning
-    /// was enabled. Run-time only, like [`CampaignResult::pruned`] —
-    /// class synthesis never changes a record.
+    /// ([`CampaignConfig::prune_classes`]), whose `decided` count is
+    /// the injections the oracle proved without executing them: `None`
+    /// unless class pruning was enabled. Run-time only, like
+    /// [`CampaignResult::audit`] — pruning never changes a record.
     #[serde(skip)]
     pub classes: Option<crate::ClassStats>,
 }
@@ -491,38 +489,70 @@ pub fn golden_run_with_checkpoints(
     workload: &Workload,
     checkpoints: usize,
 ) -> (RunReport, HashMap<String, u64>, CheckpointSet) {
-    let (report, profile, set, _) = golden_run_traced(workload, checkpoints, false);
+    let (report, profile, set, _) = golden_run_observed(workload, checkpoints, false, &mut |_| {});
     (report, profile, set)
 }
 
 /// [`golden_run`] extended with execution tracing: additionally returns
 /// the committed-instruction / scheduler event trace of the reference
 /// run, for offline analyses (static AVF, the `stats_avf` report).
-pub fn golden_trace(workload: &Workload) -> (RunReport, fracas_cpu::ExecTrace) {
-    let (report, _, _, trace) = golden_run_traced(workload, 0, true);
+pub fn golden_trace(workload: &Workload) -> (RunReport, ExecTrace) {
+    let (report, _, _, trace) = golden_run_observed(workload, 0, true, &mut |_| {});
     (report, trace.expect("tracing was enabled"))
 }
 
-/// [`golden_run_with_checkpoints`] with optional execution tracing for
-/// the [`CampaignConfig::prune_classes`] oracle. Tracing is a pure
-/// observer (excluded from snapshots), so the report, profile and every
-/// checkpoint are bit-identical whether `trace` is on or off.
-pub(crate) fn golden_run_traced(
+/// [`golden_run_with_checkpoints`] that also builds the prune oracle of
+/// the run for [`CampaignConfig::prune_classes`]. The trace is digested
+/// at every checkpoint rung, so the run never holds all of it (a whole
+/// trace takes about as much memory as the oracle built from it).
+/// Tracing is a pure observer (excluded from snapshots), so the report,
+/// profile and every checkpoint are bit-identical to an untraced run's.
+pub(crate) fn golden_run_with_oracle(
+    workload: &Workload,
+    checkpoints: usize,
+) -> (RunReport, HashMap<String, u64>, CheckpointSet, PruneOracle) {
+    let image = &workload.image;
+    let mut builder: Option<OracleBuilder> = None;
+    let mut digest = |trace: &mut ExecTrace| {
+        let builder = builder.get_or_insert_with(|| {
+            let start = trace.start_cycles.clone();
+            OracleBuilder::new(image.isa, &image.text, image.text_base, start)
+        });
+        for ev in trace.drain_closed() {
+            builder.push(&ev);
+        }
+    };
+    let (report, profile, set, trace) =
+        golden_run_observed(workload, checkpoints, true, &mut |kernel| {
+            digest(kernel.machine_mut().trace_mut().expect("tracing is on"));
+        });
+    // The run ended on a tick boundary: the rest of the trace is closed.
+    digest(&mut trace.expect("tracing was enabled"));
+    let oracle = builder.expect("the trace was digested").finish();
+    (report, profile, set, oracle)
+}
+
+/// The golden run behind every variant above: boots, profiles, traces
+/// when asked, and captures the checkpoint ladder, handing the kernel
+/// to `observe` at every rung. Returns the trace left undrained.
+fn golden_run_observed(
     workload: &Workload,
     checkpoints: usize,
     trace: bool,
+    observe: &mut dyn FnMut(&mut Kernel),
 ) -> (
     RunReport,
     HashMap<String, u64>,
     CheckpointSet,
-    Option<fracas_cpu::ExecTrace>,
+    Option<ExecTrace>,
 ) {
     let mut kernel = workload.boot();
     kernel.machine_mut().enable_profiling(&workload.image);
     if trace {
         kernel.machine_mut().enable_trace();
     }
-    let (outcome, set) = CheckpointSet::capture(&mut kernel, checkpoints, &Limits::default());
+    let (outcome, set) =
+        CheckpointSet::capture(&mut kernel, checkpoints, &Limits::default(), observe);
     assert!(
         outcome.is_clean_exit(),
         "golden run of {} must be clean, got {outcome}",
@@ -552,26 +582,40 @@ pub(crate) fn pruned_record(
     }
 }
 
-/// Executes one injection: resumes from the latest checkpoint strictly
-/// before the fault cycle (falling back to a fresh boot when none
-/// qualifies), runs to the injection point, lands the flip and runs the
-/// workload out. If the faulty run's state re-equals a golden
-/// checkpoint shortly after injection ([`CheckpointSet::try_reconverge`]),
-/// the remainder is pruned and the golden report returned directly.
-/// With [`CheckpointSet::empty`] this is exactly the boot-and-replay
-/// path; all paths produce bit-identical reports.
+/// Executes one injection: resumes from a checkpoint (falling back to a
+/// fresh boot when none qualifies), runs to the injection point, lands
+/// the flip and runs the workload out. If the faulty run's state
+/// re-equals a golden checkpoint shortly after injection
+/// ([`CheckpointSet::try_reconverge`]), the remainder is pruned and the
+/// golden report returned directly.
+///
+/// Without a `horizon` the run resumes from the latest checkpoint
+/// strictly before the fault cycle and replays up to the landing. A
+/// live class representative passes the [`Horizon`] of its landing
+/// interval ([`crate::ClassPlan::horizon`]): when a checkpoint lies
+/// inside the interval ([`CheckpointSet::latest_in_interval`]) the run
+/// resumes there and the flip is applied at once, skipping the replay
+/// the interval argument proves golden. With [`CheckpointSet::empty`]
+/// this is exactly the boot-and-replay path; all paths produce
+/// bit-identical reports.
 pub fn inject_one(
     workload: &Workload,
     fault: &Fault,
     checkpoints: &CheckpointSet,
     limits: &Limits,
+    horizon: Option<Horizon>,
 ) -> RunReport {
-    let resumed_from = checkpoints.nearest_before(fault.timing_core(), fault.cycle);
+    let core = fault.timing_core();
+    // A rung inside the interval already has the core's clock at the
+    // fault cycle, so the run-to-landing below returns at once.
+    let resumed_from = horizon
+        .and_then(|h| checkpoints.latest_in_interval(core, fault.cycle, h))
+        .or_else(|| checkpoints.nearest_before(core, fault.cycle));
     let mut kernel = match resumed_from {
         Some((_, snap)) => Kernel::restore(snap),
         None => workload.boot(),
     };
-    let paused = kernel.run_until_core_cycle(fault.timing_core(), fault.cycle, limits);
+    let paused = kernel.run_until_core_cycle(core, fault.cycle, limits);
     if paused.is_none() {
         fault.apply(&mut kernel);
         if fault.targets_ephemeral_state() {
@@ -603,7 +647,6 @@ pub fn golden_only(workload: &Workload, planned_faults: usize) -> CampaignResult
         profile: ProfileStats::from_run(&golden, &profile_map),
         tally: Tally::default(),
         records: Vec::new(),
-        pruned: 0,
         audit: None,
         classes: None,
     }
@@ -745,6 +788,36 @@ mod tests {
     }
 
     #[test]
+    fn oracle_digested_at_the_rungs_plans_like_the_whole_trace() {
+        let scenario = fracas_npb::Scenario::new(
+            fracas_npb::App::Is,
+            fracas_npb::Model::Omp,
+            2,
+            fracas_isa::IsaKind::Sira64,
+        )
+        .expect("scenario exists");
+        let w = Workload::from_scenario(&scenario).expect("build");
+        let config = CampaignConfig {
+            faults: 120,
+            space: FaultSpace {
+                text: true,
+                ..FaultSpace::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let (report, _, ladder, oracle) = golden_run_with_oracle(&w, 8);
+        assert!(ladder.len() >= 8, "the trace was digested at every rung");
+        let (_, trace) = golden_trace(&w);
+        let faults = campaign_faults(&w, &config, report.cycles);
+        let streamed = crate::classes::class_plan_with(&w, &oracle, &faults);
+        let whole = crate::class_plan(&w, &trace, &faults);
+        assert_eq!(streamed.decided, whole.decided);
+        assert_eq!(streamed.rep, whole.rep);
+        assert_eq!(streamed.horizon, whole.horizon);
+        assert_eq!(streamed.stats(), whole.stats());
+    }
+
+    #[test]
     fn config_from_env_defaults() {
         // Without env vars set, from_env equals the default.
         let c = CampaignConfig::from_env();
@@ -804,7 +877,6 @@ mod tests {
                 instructions: 50,
                 rep: None,
             }],
-            pruned: 0,
             audit: None,
             classes: None,
         };

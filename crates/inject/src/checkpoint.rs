@@ -3,11 +3,20 @@
 //! Re-running every injection from boot costs the full golden runtime
 //! per fault just to *reach* the injection point. Instead, the golden
 //! run (phase one) captures a set of evenly spaced kernel snapshots;
-//! each injection then resumes from the latest snapshot strictly before
-//! its fault cycle and only replays the short remaining prefix. Because
-//! the kernel is a deterministic tick machine, the resumed run is
-//! bit-identical to a boot-and-replay run — `tests/checkpoint.rs` keeps
-//! that invariant honest with a differential comparison.
+//! an injection then resumes from the latest snapshot strictly before
+//! its fault cycle ([`CheckpointSet::nearest_before`]) and only replays
+//! the short remaining prefix. Because the kernel is a deterministic
+//! tick machine, the resumed run is bit-identical to a boot-and-replay
+//! run — `tests/checkpoint.rs` keeps that invariant honest with a
+//! differential comparison.
+//!
+//! A live class representative can start later still. Until the op
+//! that ends its landing interval (its [`Horizon`]) nothing observes
+//! the flip, so the faulty state at any snapshot between landing and
+//! horizon is that golden snapshot plus the flip. Such a representative
+//! restores the latest snapshot inside its interval
+//! ([`CheckpointSet::latest_in_interval`]) and applies the flip there,
+//! skipping the replay the interval argument proves golden.
 //!
 //! Capture is incremental. A snapshot's memory is a list of shared,
 //! immutable 4 KiB pages, and `PhysMem` marks every page it writes.
@@ -33,6 +42,7 @@
 //! pushes the overall campaign speedup past the ~2x asymptote
 //! prefix-skipping alone can reach.
 
+use fracas_analyze::Horizon;
 use fracas_kernel::{Kernel, KernelSnapshot, Limits, RunOutcome, RunReport};
 use fracas_mem::PageSet;
 
@@ -71,7 +81,11 @@ struct GoldenEnd {
 ///
 /// Snapshots are stored in capture order, which (per-core clocks being
 /// monotone over ticks) is also nondecreasing order of every core's
-/// cycle clock — so checkpoint selection can binary-search.
+/// cycle clock — so checkpoint selection can binary-search. An
+/// injection resumes strictly before its fault cycle
+/// ([`CheckpointSet::nearest_before`]), or, for a live class
+/// representative, inside its landing interval
+/// ([`CheckpointSet::latest_in_interval`]).
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointSet {
     snaps: Vec<Checkpoint>,
@@ -110,10 +124,15 @@ impl CheckpointSet {
     /// with a fine cycle stride and adaptively thins: whenever
     /// `2 * target` snapshots accumulate, every other one is dropped and
     /// the stride doubles. The ladder stays evenly spaced at all times.
+    ///
+    /// `observe` gets the paused kernel at every rung, after the
+    /// snapshot: the hook a traced golden run uses to digest its trace
+    /// segment by segment.
     pub fn capture(
         kernel: &mut Kernel,
         target: usize,
         limits: &Limits,
+        observe: &mut dyn FnMut(&mut Kernel),
     ) -> (RunOutcome, CheckpointSet) {
         if target == 0 {
             return (kernel.run(limits), CheckpointSet::empty());
@@ -146,6 +165,7 @@ impl CheckpointSet {
                         snap,
                         dirty_since_prev: dirty,
                     });
+                    observe(kernel);
                     if snaps.len() == cap {
                         // Drop the 1st, 3rd, 5th, … snapshot: the
                         // survivors sit exactly on multiples of the
@@ -185,6 +205,35 @@ impl CheckpointSet {
             .snaps
             .partition_point(|c| c.snap.core_cycles(core) < cycle);
         n.checked_sub(1).map(|i| (i, &self.snaps[i].snap))
+    }
+
+    /// The latest checkpoint inside a live fault's landing interval —
+    /// returned with its ladder index — or `None` when the interval
+    /// holds no rung. A rung qualifies when it is at or after the
+    /// landing (`core`'s clock has reached `cycle`, so the flip is
+    /// already in place) and strictly before `horizon` (its core's clock
+    /// is below the horizon cycle, so the interval-ending op has not
+    /// run).
+    ///
+    /// Between those two boundaries no op reads, writes or moves the
+    /// flipped bits, so the faulty state at the rung is the golden
+    /// snapshot plus the flip: restoring it and applying the flip
+    /// continues exactly the run a restore before the landing would
+    /// have reached (see `fracas_analyze::intervals`).
+    pub fn latest_in_interval(
+        &self,
+        core: usize,
+        cycle: u64,
+        horizon: Horizon,
+    ) -> Option<(usize, &KernelSnapshot)> {
+        // Both predicates are monotone along the ladder: the latest rung
+        // before the horizon is the only candidate worth checking.
+        let n = self
+            .snaps
+            .partition_point(|c| c.snap.core_cycles(horizon.core) < horizon.cycle);
+        let i = n.checked_sub(1)?;
+        let snap = &self.snaps[i].snap;
+        (snap.core_cycles(core) >= cycle).then_some((i, snap))
     }
 
     /// Golden-reconvergence pruning: advances the freshly injected
@@ -256,5 +305,10 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(set.len(), 0);
         assert!(set.nearest_before(0, u64::MAX).is_none());
+        let horizon = Horizon {
+            core: 0,
+            cycle: u64::MAX,
+        };
+        assert!(set.latest_in_interval(0, 0, horizon).is_none());
     }
 }

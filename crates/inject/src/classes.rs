@@ -25,11 +25,19 @@
 //!   deterministic fraction of non-representative members is executed
 //!   for real and the classified outcome diffed against the
 //!   representative's — any divergence fails the sweep.
+//!
+//! The same argument lets a representative skip most of its own run:
+//! nothing observes the flip before the op that ends its interval, so
+//! the plan records that op's [`Horizon`] and the campaign starts the
+//! representative from the latest checkpoint inside the interval
+//! ([`crate::CheckpointSet::latest_in_interval`]). The audit treats such
+//! a late-landed representative as a claim and checks it against a run
+//! from before its own landing.
 
 use crate::campaign::{InjectionRecord, Tally, Workload};
 use crate::prune::{prune_decision, Decision, Unmodeled, UnmodeledCounts};
 use crate::{Fault, FaultTarget, Outcome};
-use fracas_analyze::{Fingerprint, PruneOracle, PruneTarget, PruneVerdict};
+use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_cpu::ExecTrace;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -103,14 +111,20 @@ impl ClassStats {
 pub struct ClassPlan {
     /// `decided[i]`: the oracle-proven outcome of fault `i` (synthesized
     /// with golden timing), or `None` when it belongs to a live class or
-    /// runs as a singleton. Decided records never execute; the
-    /// campaign's [`crate::CampaignResult::pruned`] counts them.
+    /// runs as a singleton. Decided records never execute;
+    /// [`ClassStats::decided`] counts them.
     pub decided: Vec<Option<Outcome>>,
     /// `rep[i]`: the representative index of fault `i`'s class.
     /// `rep[i] == i` for representatives, singletons and decided
     /// faults; `rep[i] < i` for members (the representative is always
     /// the class's first fault in index order).
     pub rep: Vec<u32>,
+    /// `horizon[i]`: where the landing interval of live-class
+    /// representative `i` ends ([`PruneOracle::horizon`]); `None` for
+    /// every other fault. The campaign passes it to
+    /// [`crate::inject_one`], which starts the representative from the
+    /// latest checkpoint inside the interval when one exists.
+    pub horizon: Vec<Option<Horizon>>,
     classes: Vec<FaultClass>,
 }
 
@@ -185,8 +199,20 @@ fn bit_coords(fault: &Fault) -> (u32, u32) {
 pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> ClassPlan {
     let image = &workload.image;
     let oracle = PruneOracle::new(image.isa, &image.text, image.text_base, trace);
+    class_plan_with(workload, &oracle, faults)
+}
+
+/// [`class_plan`] against an oracle already built from the golden run
+/// (the campaign digests the trace while the run is recorded).
+pub(crate) fn class_plan_with(
+    workload: &Workload,
+    oracle: &PruneOracle,
+    faults: &[Fault],
+) -> ClassPlan {
+    let image = &workload.image;
     let mut decided: Vec<Option<Outcome>> = vec![None; faults.len()];
     let mut rep: Vec<u32> = (0..faults.len() as u32).collect();
+    let mut horizon: Vec<Option<Horizon>> = vec![None; faults.len()];
     let mut classes: Vec<FaultClass> = Vec::with_capacity(faults.len());
     // The full fault coordinates ride alongside the fingerprint in the
     // key: the exactness theorem quantifies over one (core, target,
@@ -194,7 +220,7 @@ pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> C
     // coordinates must never merge their classes.
     let mut first: HashMap<(usize, PruneTarget, u32, u32, Fingerprint), u32> = HashMap::new();
     for (i, fault) in faults.iter().enumerate() {
-        let (core, target) = match prune_decision(&oracle, image.isa, fault) {
+        let (core, target) = match prune_decision(oracle, image.isa, fault) {
             Decision::Oracle(core, target) => (core, target),
             Decision::Verdict(outcome) => {
                 // A static-only domain's provably-unapplied fault: the
@@ -228,6 +254,7 @@ pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> C
                 }
                 Entry::Vacant(e) => {
                     e.insert(i as u32);
+                    horizon[i] = oracle.horizon(fp);
                     classes.push(FaultClass::Rep);
                 }
             },
@@ -236,6 +263,7 @@ pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> C
     ClassPlan {
         decided,
         rep,
+        horizon,
         classes,
     }
 }

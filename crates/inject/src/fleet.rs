@@ -32,11 +32,14 @@
 
 use crate::audit::{audit_selected, AuditEntry, OracleAuditReport};
 use crate::campaign::{
-    campaign_faults, campaign_limits, campaign_seed, fnv, golden_run_traced, inject_one,
-    inject_record, panic_message, pruned_record, resolve_threads, CampaignConfig, CampaignResult,
-    GoldenSummary, InjectionRecord, ProfileStats, Tally, Workload,
+    campaign_faults, campaign_limits, campaign_seed, fnv, golden_run_with_checkpoints,
+    golden_run_with_oracle, inject_one, inject_record, panic_message, pruned_record,
+    resolve_threads, CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord, ProfileStats,
+    Tally, Workload,
 };
-use crate::{class_plan, CheckpointSet, ClassPlan, Fault, Outcome};
+use crate::classes::class_plan_with;
+use crate::{CheckpointSet, ClassPlan, Fault, Outcome};
+use fracas_analyze::Horizon;
 use fracas_kernel::{Limits, RunReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -106,8 +109,8 @@ impl FleetConfig {
 use crate::campaign::env_f64;
 
 /// One line of the sink file: an injection record or an oracle-audit
-/// entry, tagged with its workload id. An audited pruned fault emits
-/// its audit line immediately *before* its record line in the same
+/// entry, tagged with its workload id. An audited record emits its
+/// audit line immediately *before* its record line in the same
 /// flushed write, so a torn tail can lose the record but never a
 /// record's audit entry — the resume invariant the audit report's
 /// bit-identity rests on.
@@ -300,7 +303,7 @@ struct GoldenJob {
     /// so the class layer needs no scheduling of its own.
     cells: Vec<OnceLock<InjectionRecord>>,
     /// The per-workload campaign seed, from which
-    /// [`audit_selected`] derives the audited subset of pruned faults.
+    /// [`audit_selected`] derives the audited subset of claimed records.
     audit_seed: u64,
 }
 
@@ -411,10 +414,12 @@ pub fn run_fleet_with_sink(
 }
 
 /// The injection primitive the fleet drives: produces the faulty
-/// [`RunReport`] for one fault. Production code always uses
-/// [`inject_one`]; tests substitute misbehaving injectors to exercise
-/// the panic-isolation path.
-pub type Injector = dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits) -> RunReport + Sync;
+/// [`RunReport`] for one fault, with the [`Horizon`] a live class
+/// representative may start inside (`None` for every other execution).
+/// Production code always uses [`inject_one`]; tests substitute
+/// misbehaving injectors to exercise the panic-isolation path.
+pub type Injector =
+    dyn Fn(&Workload, &Fault, &CheckpointSet, &Limits, Option<Horizon>) -> RunReport + Sync;
 
 /// The orchestrator core with an explicit injection primitive and sink
 /// (exposed for the panic-isolation and fault-handling test suites;
@@ -508,15 +513,22 @@ fn worker_loop(
 fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink) {
     let campaign = &config.campaign;
     let job = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let (report, profile_map, checkpoints, trace) =
-            golden_run_traced(state.workload, campaign.checkpoints, campaign.prune_classes);
+        let (report, profile_map, checkpoints, oracle) = if campaign.prune_classes {
+            let (report, profile, set, oracle) =
+                golden_run_with_oracle(state.workload, campaign.checkpoints);
+            (report, profile, set, Some(oracle))
+        } else {
+            let (report, profile, set) =
+                golden_run_with_checkpoints(state.workload, campaign.checkpoints);
+            (report, profile, set, None)
+        };
         let profile = ProfileStats::from_run(&report, &profile_map);
         let faults = campaign_faults(state.workload, campaign, report.cycles);
         let limits = campaign_limits(&report, campaign);
-        // The trace exists exactly when pruning is on; it is dropped
+        // The oracle exists exactly when pruning is on; it is dropped
         // here, before injection starts, because it can dwarf the
         // checkpoint ladder.
-        let plan = trace.map(|trace| class_plan(state.workload, &trace, &faults));
+        let plan = oracle.map(|oracle| class_plan_with(state.workload, &oracle, &faults));
         let cells = (0..faults.len()).map(|_| OnceLock::new()).collect();
         GoldenJob {
             report,
@@ -603,7 +615,7 @@ fn run_injection_batch(
             .collect()
     };
     // Fresh records, each paired with its audit entry when the index is
-    // an audited pruned fault. Replayed records keep their replayed
+    // an audited claim. Replayed records keep their replayed
     // audit entries (the sink writes an audit line strictly before its
     // record line, so a surviving record implies a surviving entry).
     let mut fresh: Vec<(Option<AuditEntry>, InjectionRecord)> = Vec::with_capacity(end - start);
@@ -612,14 +624,28 @@ fn run_injection_batch(
             continue;
         }
         let index = start + i;
-        let one = |f: &Fault| injector(state.workload, f, &golden.checkpoints, &golden.limits);
+        let run = |f: &Fault, horizon: Option<Horizon>| {
+            injector(
+                state.workload,
+                f,
+                &golden.checkpoints,
+                &golden.limits,
+                horizon,
+            )
+        };
+        let own_landing = |f: &Fault| run(f, None);
         let Some(plan) = &golden.plan else {
-            fresh.push((None, inject_record(&one, &golden.report, fault, index)));
+            fresh.push((
+                None,
+                inject_record(&own_landing, &golden.report, fault, index),
+            ));
             continue;
         };
-        // A synthesized record carries a claim — the oracle's verdict
-        // for a decided fault, the representative's outcome for a class
-        // member — that the sampled audit checks against real execution.
+        // A record that rests on a claim — the oracle's verdict for a
+        // decided fault, the representative's outcome for a class
+        // member, the late-landing argument for a representative started
+        // inside its interval — is checked against a real execution from
+        // before the fault's own landing by the sampled audit.
         let (record, claim) = if let Some(outcome) = plan.decided[index] {
             let record = pruned_record(&golden.report, fault, index, outcome);
             (record, Some(outcome))
@@ -630,13 +656,17 @@ fn run_injection_batch(
             // early-stopped prefix always contains every representative
             // its members cite.
             let rep = plan.rep[index] as usize;
-            let rep_record = golden.cells[rep]
-                .get_or_init(|| inject_record(&one, &golden.report, &golden.faults[rep], rep));
-            if rep == index {
-                (*rep_record, None)
-            } else {
+            let rep_record = golden.cells[rep].get_or_init(|| {
+                let late = |f: &Fault| run(f, plan.horizon[rep]);
+                inject_record(&late, &golden.report, &golden.faults[rep], rep)
+            });
+            if rep != index {
                 let record = crate::classes::member_record(rep_record, fault, index);
                 (record, Some(rep_record.outcome))
+            } else if landed_late(plan, &golden.checkpoints, fault, index) {
+                (*rep_record, Some(rep_record.outcome))
+            } else {
+                (*rep_record, None)
             }
         };
         let audit = claim
@@ -646,7 +676,7 @@ fn run_injection_batch(
             .map(|oracle| AuditEntry {
                 index: index as u32,
                 oracle,
-                executed: inject_record(&one, &golden.report, fault, index).outcome,
+                executed: inject_record(&own_landing, &golden.report, fault, index).outcome,
             });
         fresh.push((audit, record));
     }
@@ -666,6 +696,17 @@ fn run_injection_batch(
     if config.progress {
         emit_progress(state, golden, committed, prefix);
     }
+}
+
+/// Whether representative `index` starts from a checkpoint inside its
+/// landing interval — a pure function of plan and ladder, so the audited
+/// set, like every record, is identical across threads and resumes.
+fn landed_late(plan: &ClassPlan, checkpoints: &CheckpointSet, fault: &Fault, index: usize) -> bool {
+    plan.horizon[index].is_some_and(|h| {
+        checkpoints
+            .latest_in_interval(fault.timing_core(), fault.cycle, h)
+            .is_some()
+    })
 }
 
 /// Prints a per-workload progress line (rate, ETA, running tally), at
@@ -729,7 +770,7 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
             })
         })
         .collect();
-    // The class statistics (and the prune count among them) cover the
+    // The class statistics (and the decided count among them) cover the
     // kept range only — a pure function of the fault list, so they match
     // across thread counts and resumes even when some records were
     // replayed from disk.
@@ -769,7 +810,6 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
         profile: golden.profile,
         tally,
         records,
-        pruned: classes.map_or(0, |c| u64::from(c.decided)),
         audit,
         classes,
     }
@@ -794,7 +834,6 @@ fn failed_result(workload: &Workload, config: &CampaignConfig) -> CampaignResult
             ..Tally::default()
         },
         records: Vec::new(),
-        pruned: 0,
         audit: None,
         classes: None,
     }

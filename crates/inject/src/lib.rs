@@ -19,6 +19,9 @@
 //!   kernel snapshots ([`CheckpointSet`]); each injection resumes from
 //!   the latest one strictly before its fault cycle instead of
 //!   replaying from boot, bit-identically (gem5-style checkpointing).
+//!   A live class representative resumes later still, from the latest
+//!   snapshot inside its landing interval ([`Horizon`]), with the flip
+//!   applied on restore.
 //! * **Exact pruning**: with [`CampaignConfig::prune_classes`], a
 //!   trace-exact oracle (`fracas-analyze`) *decides* injections whose
 //!   bit is overwritten before ever being read (or survives unread)
@@ -81,4 +84,5 @@ pub use fault::{
 pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };
+pub use fracas_analyze::Horizon;
 pub use prune::{prune_target, Unmodeled, UnmodeledCounts};

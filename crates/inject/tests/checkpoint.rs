@@ -1,11 +1,12 @@
 //! Checkpoint-and-restore differential tests: resuming an injection
 //! from a golden-run snapshot must be bit-identical to replaying from
 //! boot, across all three programming models, and every incrementally
-//! captured rung must equal a full snapshot taken at its mark.
+//! captured rung must equal a full snapshot taken at its mark. The
+//! late-landing rung rule is pinned at its edges.
 
 use fracas_inject::{
     golden_run_with_checkpoints, inject_one, run_campaign, sample_faults, CampaignConfig,
-    CheckpointSet, Workload,
+    CheckpointSet, Horizon, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_kernel::{Kernel, Limits};
@@ -39,8 +40,8 @@ fn assert_bit_identical(app: App, model: Model, cores: u32, faults: usize) {
     let boot_only = CheckpointSet::empty();
     let mut resumed = 0;
     for fault in &list {
-        let via_checkpoint = inject_one(&workload, fault, &checkpoints, &limits);
-        let via_boot = inject_one(&workload, fault, &boot_only, &limits);
+        let via_checkpoint = inject_one(&workload, fault, &checkpoints, &limits, None);
+        let via_boot = inject_one(&workload, fault, &boot_only, &limits, None);
         assert_eq!(
             via_checkpoint, via_boot,
             "{}: fault {fault:?} diverged between restore and boot-replay",
@@ -170,4 +171,43 @@ fn huge_checkpoint_target_keeps_a_valid_ladder_and_the_records() {
         },
     );
     assert_eq!(huge.to_json(), run_campaign(&workload, &base).to_json());
+}
+
+/// The late-landing rung rule at its edges, on a one-core ladder: a
+/// rung qualifies when core 0's clock there has reached the landing
+/// cycle and is still below the horizon cycle.
+#[test]
+fn late_landing_rung_rule_edges() {
+    let scenario = Scenario::new(App::Is, Model::Serial, 1, IsaKind::Sira64).unwrap();
+    let workload = Workload::from_scenario(&scenario).unwrap();
+    let (_, _, ladder) = golden_run_with_checkpoints(&workload, 8);
+    let clocks: Vec<u64> = ladder
+        .rungs()
+        .map(|(_, snap)| snap.core_cycles(0))
+        .collect();
+    // A rung k whose clock differs from both neighbours'.
+    let k = (1..clocks.len() - 1)
+        .find(|&k| clocks[k - 1] < clocks[k] && clocks[k] < clocks[k + 1])
+        .expect("a rung with distinct neighbouring clocks");
+    let (before, at, next) = (clocks[k - 1], clocks[k], clocks[k + 1]);
+    let pick = |landing: u64, horizon: u64| {
+        let horizon = Horizon {
+            core: 0,
+            cycle: horizon,
+        };
+        ladder
+            .latest_in_interval(0, landing, horizon)
+            .map(|(i, _)| i)
+    };
+    // A rung exactly at the landing boundary qualifies.
+    assert_eq!(pick(at, at + 1), Some(k));
+    // The latest qualifying rung wins.
+    assert_eq!(pick(before, next + 1), Some(k + 1));
+    // A rung whose clock equals the horizon cycle is past the horizon.
+    assert_eq!(pick(before, at), Some(k - 1));
+    assert_eq!(pick(at, at), None);
+    // An interval strictly between two rungs selects nothing.
+    assert_eq!(pick(at + 1, next), None);
+    // Without a horizon, resume stays strictly before the fault cycle.
+    assert_eq!(ladder.nearest_before(0, at).map(|(i, _)| i), Some(k - 1));
 }

@@ -4,15 +4,17 @@
 //! executing a fraction of the injections. Also pins the weighted-tally
 //! identity, non-vacuous member synthesis and member-sampling audits on
 //! the mini-kernel, unmodeled-target accounting, the ≤50% EP-matrix
-//! collapse criterion, and bit-identical crash/resume of a class-pruned
-//! sweep including its audit report.
+//! collapse criterion, bit-identical crash/resume of a class-pruned
+//! sweep including its audit report, and exact late landing of class
+//! representatives on non-EP text campaigns.
 
 mod common;
 
 use common::build_workload;
 use fracas_inject::{
-    campaign_faults, class_plan, golden_trace, run_campaign, run_fleet_with_sink, weighted_tally,
-    CampaignConfig, CampaignResult, Fault, FaultSpace, FaultTarget, FleetConfig, Workload,
+    campaign_faults, class_plan, golden_run_with_checkpoints, golden_trace, run_campaign,
+    run_fleet_with_sink, weighted_tally, CampaignConfig, CampaignResult, Fault, FaultSpace,
+    FaultTarget, FleetConfig, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -37,7 +39,7 @@ fn differential(w: &Workload, config: &CampaignConfig) -> CampaignResult {
     );
     // Exactness: the class-pruned database is byte-identical to the
     // full campaign's (the in-memory `rep` markers are deliberately not
-    // serialized, like the prune counter).
+    // serialized, like the class statistics).
     assert_eq!(full.to_json(), classed.to_json(), "{}", w.id);
     // The weighted tally — representatives weighted by class size,
     // members never consulted — equals the full campaign's plain tally.
@@ -257,6 +259,63 @@ fn ep_text_only_classes_match_full_campaign() {
         let stats = classed.classes.expect("class stats present");
         assert!(stats.decided > 0, "{}: {stats:?}", w.id);
         assert_eq!(stats.unmodeled.total(), 0, "{}: {stats:?}", w.id);
+    }
+}
+
+/// Late landing on non-EP text campaigns (IS-MPI's point-to-point
+/// messaging, DC-OMP's locking): most representatives start from a
+/// checkpoint inside their landing interval, yet the classed database
+/// stays byte-identical to the full campaign's. The audit re-executes
+/// sampled late representatives from before their own landing, with
+/// zero mismatches.
+#[test]
+fn non_ep_text_classes_match_full_campaign_with_late_representatives() {
+    for (app, model, isa) in [
+        (App::Is, Model::Mpi, IsaKind::Sira32),
+        (App::Dc, Model::Omp, IsaKind::Sira64),
+    ] {
+        let w = workload(app, model, 2, isa);
+        let config = CampaignConfig {
+            faults: 40,
+            space: FaultSpace::only("text"),
+            oracle_audit: 0.5,
+            ..CampaignConfig::default()
+        };
+        let classed = differential(&w, &config);
+        let stats = classed.classes.expect("class stats present");
+        // Which representatives landed late is a pure function of the
+        // plan and the ladder, so the test can rebuild both.
+        let (report, trace) = golden_trace(&w);
+        let (_, _, ladder) = golden_run_with_checkpoints(&w, config.checkpoints);
+        let faults = campaign_faults(&w, &config, report.cycles);
+        let plan = class_plan(&w, &trace, &faults);
+        let late: Vec<usize> = (0..faults.len())
+            .filter(|&i| {
+                plan.horizon[i].is_some_and(|h| {
+                    ladder
+                        .latest_in_interval(faults[i].timing_core(), faults[i].cycle, h)
+                        .is_some()
+                })
+            })
+            .collect();
+        assert!(
+            late.len() * 4 >= stats.live_classes as usize && !late.is_empty(),
+            "{}: only {} of {} representatives landed late",
+            w.id,
+            late.len(),
+            stats.live_classes
+        );
+        let audit = classed.audit.expect("audit enabled");
+        assert!(
+            audit
+                .entries
+                .iter()
+                .any(|e| late.contains(&(e.index as usize))),
+            "{}: no late representative was audited: {}",
+            w.id,
+            audit.summary()
+        );
+        assert_eq!(audit.mismatch_count(), 0, "{}", audit.summary());
     }
 }
 

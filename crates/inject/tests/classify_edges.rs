@@ -101,7 +101,7 @@ fn harness_panic_outranks_guest_hang() {
     let workload = small_workload();
     let config = small_config();
 
-    let hung = campaign_with(&workload, &config, &|_, _, _, _| RunReport {
+    let hung = campaign_with(&workload, &config, &|_, _, _, _, _| RunReport {
         outcome: RunOutcome::CycleLimit,
         console: Vec::new(),
         console_len: 0,
@@ -116,7 +116,7 @@ fn harness_panic_outranks_guest_hang() {
     assert_eq!(hung.tally.hang, config.faults as u64);
     assert!(hung.records.iter().all(|r| r.outcome == Outcome::Hang));
 
-    let anomalous = campaign_with(&workload, &config, &|_, _, _, _| {
+    let anomalous = campaign_with(&workload, &config, &|_, _, _, _, _| {
         panic!("simulated worker defect")
     });
     assert_eq!(anomalous.tally.anomaly, config.faults as u64);

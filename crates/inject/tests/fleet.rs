@@ -255,9 +255,9 @@ fn panicking_injection_becomes_anomaly_record_in_campaign() {
     };
     let clean = run_campaign(&w, &config);
     let poison = clean.records[5].fault;
-    let faulty = campaign_with(&w, &config, &move |wl, fault, cps, limits| {
+    let faulty = campaign_with(&w, &config, &move |wl, fault, cps, limits, horizon| {
         assert!(*fault != poison, "worker panics on the poisoned fault");
-        inject_one(wl, fault, cps, limits)
+        inject_one(wl, fault, cps, limits, horizon)
     });
     assert_eq!(faulty.tally.total(), 12);
     assert_eq!(faulty.tally.anomaly, 1);
@@ -316,12 +316,12 @@ fn out_of_range_flip_coordinates_surface_as_anomaly_records() {
             ),
         ),
     ];
-    let result = campaign_with(&w, &config, &move |wl, fault, cps, limits| {
+    let result = campaign_with(&w, &config, &move |wl, fault, cps, limits, horizon| {
         let fault = poisoned
             .iter()
             .find(|(original, _)| original == fault)
             .map_or(*fault, |(_, bad)| *bad);
-        inject_one(wl, &fault, cps, limits)
+        inject_one(wl, &fault, cps, limits, horizon)
     });
     assert_eq!(result.tally.anomaly, 2);
     assert_eq!(result.records[2].outcome, Outcome::Anomaly);
@@ -394,9 +394,9 @@ fn panicking_injection_does_not_poison_the_fleet() {
         &workloads,
         &config,
         &mut RecordSink::disabled(),
-        &move |wl, fault, cps, limits| {
+        &move |wl, fault, cps, limits, horizon| {
             assert!(*fault != poison, "worker panics on the poisoned fault");
-            inject_one(wl, fault, cps, limits)
+            inject_one(wl, fault, cps, limits, horizon)
         },
     );
     for (i, (a, b)) in clean.iter().zip(&faulty).enumerate() {

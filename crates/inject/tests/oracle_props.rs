@@ -97,7 +97,7 @@ fn check_conservative(workload: &Workload, faults: &[Fault]) -> Result<usize, Te
     for (fault, verdict) in faults.iter().zip(&table) {
         let Some(claimed) = verdict else { continue };
         decided += 1;
-        let faulty = inject_one(workload, fault, &checkpoints, &limits);
+        let faulty = inject_one(workload, fault, &checkpoints, &limits, None);
         let real = classify(&report, &faulty);
         prop_assert_eq!(
             real,

@@ -139,7 +139,6 @@ mod tests {
                 ..Tally::default()
             },
             records: Vec::new(),
-            pruned: 0,
             audit: None,
             classes: None,
         }

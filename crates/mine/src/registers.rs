@@ -132,7 +132,6 @@ mod tests {
                 record(4, Outcome::Vanished),
                 record(4, Outcome::Ona),
             ],
-            pruned: 0,
             audit: None,
             classes: None,
         };

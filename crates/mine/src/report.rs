@@ -516,7 +516,6 @@ mod tests {
             },
             tally,
             records: Vec::new(),
-            pruned: 0,
             audit: None,
             classes: None,
         }

@@ -69,7 +69,7 @@ fn main() {
     let start = Instant::now();
     let resumed: Vec<_> = faults
         .iter()
-        .map(|f| inject_one(&workload, f, &checkpoints, &limits))
+        .map(|f| inject_one(&workload, f, &checkpoints, &limits, None))
         .collect();
     let with_checkpoints = start.elapsed();
 
@@ -77,7 +77,7 @@ fn main() {
     let start = Instant::now();
     let replayed: Vec<_> = faults
         .iter()
-        .map(|f| inject_one(&workload, f, &boot_only, &limits))
+        .map(|f| inject_one(&workload, f, &boot_only, &limits, None))
         .collect();
     let boot_replay = start.elapsed();
 
