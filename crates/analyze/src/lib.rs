@@ -42,7 +42,7 @@
 //! [`usedef`] and [`mod@cfg`] are thin projections of the declarative
 //! effects layer in [`fracas_isa::effects`] — the same table the
 //! interpreter is conformance-checked against at runtime
-//! (`FRACAS_CHECK_EFFECTS=1` in `fracas-cpu`). The analyzer's model of
+//! (`Machine::set_effect_check` in `fracas-cpu`). The analyzer's model of
 //! the machine and the machine itself are therefore provably the same
 //! model, not two matches that happen to agree; everything above
 //! inherits its guarantees from that single table's asymmetric

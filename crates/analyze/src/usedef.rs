@@ -6,7 +6,7 @@
 //! consumes it per committed trace event. Since PR 4 the sets are no
 //! longer declared here: [`use_def`] projects the uses/defs halves of
 //! [`Effects`], the single `InstKind` table the interpreter itself is
-//! conformance-checked against (`FRACAS_CHECK_EFFECTS=1`), so "the
+//! conformance-checked against (`Machine::set_effect_check`), so "the
 //! analyzer's model agrees with the machine" is a machine-checked
 //! invariant rather than two matches that happen to line up.
 //!

@@ -115,9 +115,6 @@ fn baseline_scenario_rate(text: &str, id: &str) -> Option<f64> {
 }
 
 fn main() {
-    // Measure the production fast path even under a CI environment
-    // that exports the checker knob.
-    std::env::remove_var("FRACAS_CHECK_EFFECTS");
     let mut filter = ScenarioFilter::default();
     let mut reps: usize = 5;
     let mut min_ms: u64 = 250;

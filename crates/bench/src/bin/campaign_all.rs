@@ -3,12 +3,14 @@
 //! `FRACAS_FAULTS` / `FRACAS_SEED` / `FRACAS_THREADS` / `FRACAS_DB`.
 
 use fracas::npb::Scenario;
+use fracas_bench::cli::{SweepOpts, ENV_USAGE};
 
 fn main() {
-    let db = fracas_bench::ensure_db(&Scenario::all());
+    let config = SweepOpts::default().config(ENV_USAGE);
+    let db = fracas_bench::run_sweep(&Scenario::all(), &config.fleet, &config.db, &config.sink);
     println!(
         "database covers {} campaigns -> {}",
         fracas_bench::coverage(&db),
-        fracas_bench::db_path().display()
+        config.db.display()
     );
 }

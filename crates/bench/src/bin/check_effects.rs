@@ -1,5 +1,5 @@
 //! Conformance gate: golden-runs scenarios with the runtime effect
-//! checker enabled (`FRACAS_CHECK_EFFECTS=1`) and fails on the first
+//! checker enabled (`Machine::set_effect_check`) and fails on the first
 //! divergence between the interpreter and the declared
 //! `fracas_isa::effects` table.
 //!
@@ -16,7 +16,8 @@
 //! per ISA; locally, run it unfiltered for the full 130-scenario sweep.
 //! A violation panics with the offending instruction and address.
 
-use fracas::inject::{golden_run, Workload};
+use fracas::inject::Workload;
+use fracas::kernel::{Kernel, Limits};
 use fracas_bench::cli::{Parser, ScenarioFilter};
 use std::time::Instant;
 
@@ -24,9 +25,6 @@ const USAGE: &str =
     "check_effects [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N]";
 
 fn main() {
-    // Before any machine is constructed, so the cached env default
-    // turns checking on for every golden run below.
-    std::env::set_var("FRACAS_CHECK_EFFECTS", "1");
     let mut filter = ScenarioFilter::default();
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
@@ -39,9 +37,16 @@ fn main() {
     let start = Instant::now();
     let mut checked: u64 = 0;
     for (i, s) in scenarios.iter().enumerate() {
-        let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
-        let (report, _) = golden_run(&workload);
-        let n = report.total_instructions();
+        let w = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
+        let mut kernel = Kernel::boot(&w.image, w.cores, w.spec);
+        kernel.machine_mut().set_effect_check(true);
+        let outcome = kernel.run(&Limits::default());
+        assert!(
+            outcome.is_clean_exit(),
+            "golden run of {} must be clean, got {outcome}",
+            w.id
+        );
+        let n = kernel.report().total_instructions();
         checked += n;
         eprintln!(
             "  [{}/{}] {}: {} instructions conform",

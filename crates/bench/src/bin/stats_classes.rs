@@ -19,7 +19,7 @@
 
 use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
 use fracas::mine::CollapseSummary;
-use fracas_bench::cli::{Parser, ScenarioFilter};
+use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
 const USAGE: &str = "stats_classes [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
@@ -30,35 +30,27 @@ const HEADER: &str =
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let mut filter = ScenarioFilter::default();
-    let mut faults: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut opts = SweepOpts::default();
     let mut gate: Option<f64> = None;
     let mut text_faults = false;
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
-        if filter.accept(&mut p, &flag) {
+        if opts.filter.accept(&mut p, &flag) {
             continue;
         }
         match flag.as_str() {
-            "--faults" => faults = Some(p.parsed(&flag)),
-            "--seed" => seed = Some(p.parsed(&flag)),
+            "--faults" => opts.faults = Some(p.parsed(&flag)),
+            "--seed" => opts.seed = Some(p.parsed(&flag)),
             "--gate" => gate = Some(p.parsed(&flag)),
             "--text-faults" => text_faults = true,
             other => p.unknown(other),
         }
     }
-    let mut config = fracas_bench::config();
-    if let Some(v) = faults {
-        config.faults = v;
-    }
-    if let Some(v) = seed {
-        config.seed = v;
-    }
+    let mut config = opts.config(USAGE).fleet.campaign;
     if text_faults {
         config.space = FaultSpace::only("text");
     }
-    let scenarios = filter.scenarios();
+    let scenarios = opts.filter.scenarios();
     eprintln!(
         "class-planning {} scenario(s) at {} {} faults each (seed {})...",
         scenarios.len(),

@@ -8,9 +8,10 @@
 use fracas::inject::{run_fleet, FaultSpace, FleetConfig, Workload};
 use fracas::npb::{App, Model, Scenario};
 use fracas::prelude::*;
+use fracas_bench::cli::{SweepOpts, ENV_USAGE};
 
 fn main() {
-    let base = fracas_bench::fleet_config();
+    let base = SweepOpts::default().config(ENV_USAGE).fleet;
     println!(
         "MBU severity sweep ({} faults/run): adjacent-bit upset widths 1/2/4\n",
         base.campaign.faults

@@ -10,9 +10,10 @@ use fracas::inject::{run_fleet, Workload};
 use fracas::lang::OptLevel;
 use fracas::npb::{App, Model, Scenario};
 use fracas::prelude::*;
+use fracas_bench::cli::{SweepOpts, ENV_USAGE};
 
 fn main() {
-    let config = fracas_bench::fleet_config();
+    let config = SweepOpts::default().config(ENV_USAGE).fleet;
     println!(
         "Compiler-flag reliability sweep ({} faults/run). -O0 keeps locals in memory;\n\
          -O1 promotes them to registers (the default everywhere else).\n",

@@ -29,41 +29,33 @@ use fracas::analyze::{analyze_text, cfg_reachable_words, FlipClass, PruneOracle}
 use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
 use fracas::mine::CollapseSummary;
 use fracas::npb::App;
-use fracas_bench::cli::{Parser, ScenarioFilter};
+use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
 const USAGE: &str = "stats_textfault [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
      [--cores N] [--faults N] [--seed N]";
 
 fn main() {
-    let mut filter = ScenarioFilter::default();
-    let mut faults: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut opts = SweepOpts::default();
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
-        if filter.accept(&mut p, &flag) {
+        if opts.filter.accept(&mut p, &flag) {
             continue;
         }
         match flag.as_str() {
-            "--faults" => faults = Some(p.parsed(&flag)),
-            "--seed" => seed = Some(p.parsed(&flag)),
+            "--faults" => opts.faults = Some(p.parsed(&flag)),
+            "--seed" => opts.seed = Some(p.parsed(&flag)),
             other => p.unknown(other),
         }
     }
-    if filter.app.is_none() {
-        filter.app = Some(App::Ep);
+    if opts.filter.app.is_none() {
+        opts.filter.app = Some(App::Ep);
     }
-    let mut text_config = fracas_bench::config();
-    if let Some(v) = faults {
-        text_config.faults = v;
-    }
-    if let Some(v) = seed {
-        text_config.seed = v;
-    }
+    let mut text_config = opts.config(USAGE).fleet.campaign;
     text_config.space = FaultSpace::only("text");
     let mut reg_config = text_config.clone();
     reg_config.space = FaultSpace::default();
-    let scenarios = filter.scenarios();
+    let scenarios = opts.filter.scenarios();
     eprintln!(
         "text-fault planning {} scenario(s) at {} faults each (seed {})...",
         scenarios.len(),

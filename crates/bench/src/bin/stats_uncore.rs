@@ -36,7 +36,7 @@ use fracas::analyze::{analyze_skips, skip_class, PruneOracle, SkipClass, SkipCom
 use fracas::inject::{run_campaign, FaultSpace, FaultTarget, Outcome, Tally, Unmodeled, Workload};
 use fracas::mine::{labeled_outcome_table, CollapseSummary};
 use fracas::npb::App;
-use fracas_bench::cli::{Parser, ScenarioFilter};
+use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
 const USAGE: &str = "stats_uncore [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
@@ -81,36 +81,28 @@ fn own_bucket(name: &str) -> Unmodeled {
 }
 
 fn main() {
-    let mut filter = ScenarioFilter::default();
-    let mut faults: Option<usize> = None;
-    let mut seed: Option<u64> = None;
+    let mut opts = SweepOpts::default();
     let mut gate = false;
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
-        if filter.accept(&mut p, &flag) {
+        if opts.filter.accept(&mut p, &flag) {
             continue;
         }
         match flag.as_str() {
-            "--faults" => faults = Some(p.parsed(&flag)),
-            "--seed" => seed = Some(p.parsed(&flag)),
+            "--faults" => opts.faults = Some(p.parsed(&flag)),
+            "--seed" => opts.seed = Some(p.parsed(&flag)),
             "--gate" => gate = true,
             other => p.unknown(other),
         }
     }
-    if filter.app.is_none() {
-        filter.app = Some(App::Ep);
+    if opts.filter.app.is_none() {
+        opts.filter.app = Some(App::Ep);
     }
-    let mut base = fracas_bench::config();
-    if let Some(v) = faults {
-        base.faults = v;
-    }
-    if let Some(v) = seed {
-        base.seed = v;
-    }
+    let mut base = opts.config(USAGE).fleet.campaign;
     base.prune_classes = true;
     let mut reg_config = base.clone();
     reg_config.space = FaultSpace::default();
-    let scenarios = filter.scenarios();
+    let scenarios = opts.filter.scenarios();
     eprintln!(
         "uncore campaigns over {} scenario(s), {} domains x {} faults each (seed {})...",
         scenarios.len(),

@@ -12,8 +12,9 @@
 //!
 //! Kill it at any point and re-run with the same arguments: completed
 //! injections replay from the sink and the final database is
-//! bit-identical to an uninterrupted sweep. Environment knobs
-//! (`FRACAS_FAULTS`, `FRACAS_EPSILON`, ...) supply defaults; flags win.
+//! bit-identical to an uninterrupted sweep. `FRACAS_*` variables
+//! supply defaults and flags win (see `fracas_bench::cli`); a value
+//! that does not parse exits with status 2 before anything runs.
 
 use fracas_bench::cli::SweepOpts;
 
@@ -23,15 +24,13 @@ const USAGE: &str = "sweep [--isa sira32|sira64] [--model ser|omp|mpi] [--app NA
 
 fn main() {
     let opts = SweepOpts::parse(USAGE);
+    let config = opts.config(USAGE);
     let scenarios = opts.filter.scenarios();
-    let config = opts.fleet_config();
-    let db_path = opts.db_path();
-    let sink = opts.sink_path(&db_path);
-    let db = fracas_bench::run_sweep(&scenarios, &config, &db_path, &sink);
+    let db = fracas_bench::run_sweep(&scenarios, &config.fleet, &config.db, &config.sink);
     println!(
         "database covers {} campaign(s) -> {}",
         fracas_bench::coverage(&db),
-        db_path.display()
+        config.db.display()
     );
     println!(
         "{:<22} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",

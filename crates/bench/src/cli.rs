@@ -1,4 +1,5 @@
-//! Shared command-line plumbing for the `src/bin/*` binaries.
+//! Shared command-line plumbing for the `src/bin/*` binaries, and the
+//! one place that reads their configuration.
 //!
 //! Every table/figure/tool binary accepts the same scenario-selection
 //! vocabulary (`--isa`, `--model`, `--app`, `--cores`) and the sweep
@@ -11,14 +12,18 @@
 //!   original `sweep` behaviour).
 //! * [`ScenarioFilter`] — the four selection flags and their projection
 //!   of [`Scenario::all`].
-//! * [`SweepOpts`] — filter plus campaign overrides, and the resolution
-//!   of database/sink paths and [`FleetConfig`] from flags over
-//!   environment defaults.
+//! * [`SweepOpts`] — filter plus campaign overrides, and
+//!   [`SweepOpts::resolve`], the only reader of the `FRACAS_*`
+//!   environment variables. Flags win over variables, variables over
+//!   defaults, and a variable that does not parse is a [`BadValue`]
+//!   that binaries report like a bad flag (exit code 2). The library
+//!   crates read no environment; they take the resolved [`Config`].
 
-use fracas::inject::FleetConfig;
+use fracas::inject::{CampaignConfig, FaultSpace, FleetConfig};
 use fracas::isa::IsaKind;
 use fracas::npb::{App, Model, Scenario};
-use std::path::{Path, PathBuf};
+use std::ffi::OsString;
+use std::path::PathBuf;
 use std::process::exit;
 
 /// Walks `std::env::args`, producing flags and their values with
@@ -166,8 +171,8 @@ impl ScenarioFilter {
 }
 
 /// The full sweep-family command line: scenario selection plus campaign
-/// configuration overrides. Environment knobs (`FRACAS_FAULTS`, ...)
-/// supply defaults; flags win.
+/// configuration overrides, resolved over the `FRACAS_*` environment by
+/// [`SweepOpts::resolve`].
 #[derive(Debug, Default)]
 pub struct SweepOpts {
     /// Scenario selection.
@@ -250,56 +255,143 @@ impl SweepOpts {
         opts
     }
 
-    /// [`crate::fleet_config`] with this command line's overrides
-    /// applied on top.
-    #[must_use]
-    pub fn fleet_config(&self) -> FleetConfig {
-        let mut config = crate::fleet_config();
-        if let Some(v) = self.faults {
-            config.campaign.faults = v;
-        }
-        if let Some(v) = self.epsilon {
-            config.epsilon = v;
-        }
-        if let Some(v) = self.threads {
-            config.campaign.threads = v;
-        }
-        if let Some(v) = self.seed {
-            config.campaign.seed = v;
-        }
-        if self.prune_classes {
-            config.campaign.prune_classes = true;
-        }
-        if let Some(v) = self.oracle_audit {
-            config.campaign.oracle_audit = v;
-        }
+    /// This command line over the `FRACAS_*` variables of `env` over the
+    /// defaults. Each knob is a flag, a variable, or both:
+    ///
+    /// | flag | variable | default |
+    /// |---|---|---|
+    /// | `--faults N` | `FRACAS_FAULTS` | 60 |
+    /// | `--seed N` | `FRACAS_SEED` | `0xFACA5` |
+    /// | `--threads N` | `FRACAS_THREADS` | 0 = available parallelism |
+    /// | — | `FRACAS_CHECKPOINTS` | 16 |
+    /// | `--prune-classes` | `FRACAS_PRUNE_CLASSES` (nonzero = on) | off |
+    /// | `--oracle-audit R` | `FRACAS_ORACLE_AUDIT` | 0 = off |
+    /// | `--epsilon E` | `FRACAS_EPSILON` | 0 = off |
+    /// | `--db PATH` | `FRACAS_DB` | `fracas_campaigns.jsonl` |
+    /// | `--sink PATH` | `FRACAS_SINK` | the database path + `.wal` |
+    ///
+    /// Numeric values may carry surrounding whitespace. Progress lines
+    /// are on.
+    ///
+    /// # Errors
+    ///
+    /// [`BadValue`] when a set numeric variable does not parse, even if
+    /// a flag overrides it.
+    pub fn resolve(&self, env: impl Fn(&str) -> Option<OsString>) -> Result<Config, BadValue> {
+        let defaults = CampaignConfig::default();
+        let mut campaign = CampaignConfig {
+            faults: knob(self.faults, &env, "FRACAS_FAULTS", HARNESS_FAULTS)?,
+            seed: knob(self.seed, &env, "FRACAS_SEED", defaults.seed)?,
+            threads: knob(self.threads, &env, "FRACAS_THREADS", defaults.threads)?,
+            checkpoints: knob(None, &env, "FRACAS_CHECKPOINTS", defaults.checkpoints)?,
+            prune_classes: knob::<u64>(None, &env, "FRACAS_PRUNE_CLASSES", 0)? != 0
+                || self.prune_classes,
+            oracle_audit: knob(self.oracle_audit, &env, "FRACAS_ORACLE_AUDIT", 0.0)?,
+            ..defaults
+        };
         if !self.domains.is_empty() {
-            let mut space = fracas::inject::FaultSpace::none();
+            let mut space = FaultSpace::none();
             for name in &self.domains {
                 let domain = fracas::inject::domain_named(name).expect("parsed from the registry");
                 (domain.enable)(&mut space);
             }
-            config.campaign.space = space;
+            campaign.space = space;
         }
-        config
+        let fleet = FleetConfig {
+            campaign,
+            epsilon: knob(self.epsilon, &env, "FRACAS_EPSILON", 0.0)?,
+            progress: true,
+            ..FleetConfig::default()
+        };
+        let db = self
+            .db
+            .clone()
+            .or_else(|| env("FRACAS_DB").map(PathBuf::from))
+            .unwrap_or_else(|| PathBuf::from("fracas_campaigns.jsonl"));
+        let sink = self
+            .sink
+            .clone()
+            .or_else(|| env("FRACAS_SINK").map(PathBuf::from))
+            .unwrap_or_else(|| {
+                let mut wal = db.clone().into_os_string();
+                wal.push(".wal");
+                PathBuf::from(wal)
+            });
+        Ok(Config { fleet, db, sink })
     }
 
-    /// The database path: `--db`, else [`crate::db_path`].
+    /// [`SweepOpts::resolve`] over the process environment. A bad value
+    /// is a usage error: its message and `usage` go to stderr and the
+    /// process exits with status 2, as for a bad flag.
     #[must_use]
-    pub fn db_path(&self) -> PathBuf {
-        self.db.clone().unwrap_or_else(crate::db_path)
+    pub fn config(&self, usage: &str) -> Config {
+        self.resolve(|name| std::env::var_os(name))
+            .unwrap_or_else(|e| {
+                eprintln!("{e}");
+                eprintln!("usage: {usage}");
+                exit(2)
+            })
     }
+}
 
-    /// The sink path: `--sink`, else the database path with a `.wal`
-    /// suffix appended.
-    #[must_use]
-    pub fn sink_path(&self, db: &Path) -> PathBuf {
-        self.sink.clone().unwrap_or_else(|| {
-            let mut p = db.to_path_buf().into_os_string();
-            p.push(".wal");
-            PathBuf::from(p)
-        })
+/// Injections per scenario when neither `--faults` nor `FRACAS_FAULTS`
+/// sets them. The paper used 8,000 on a 5,000-core cluster; library
+/// callers get [`CampaignConfig::default`]'s 100.
+const HARNESS_FAULTS: usize = 60;
+
+/// The usage line of a binary that takes no flags, for
+/// [`SweepOpts::config`].
+pub const ENV_USAGE: &str = "no flags; FRACAS_* variables configure the campaigns \
+     (see the fracas-bench crate documentation)";
+
+/// What a binary runs under, as [`SweepOpts::resolve`] settles it.
+#[derive(Debug)]
+pub struct Config {
+    /// Campaign and sweep parameters.
+    pub fleet: FleetConfig,
+    /// The campaign database.
+    pub db: PathBuf,
+    /// The in-flight record sink.
+    pub sink: PathBuf,
+}
+
+/// A `FRACAS_*` variable whose value does not parse.
+#[derive(Debug)]
+pub struct BadValue {
+    /// The variable.
+    pub var: &'static str,
+    /// Its value (lossily decoded when it is not Unicode).
+    pub value: String,
+}
+
+impl std::fmt::Display for BadValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bad value {:?} for {}", self.value, self.var)
     }
+}
+
+impl std::error::Error for BadValue {}
+
+/// `flag`, else variable `name` of `env` parsed as `T`, else `default`.
+/// A set variable must parse even when `flag` overrides it.
+fn knob<T: std::str::FromStr>(
+    flag: Option<T>,
+    env: &impl Fn(&str) -> Option<OsString>,
+    name: &'static str,
+    default: T,
+) -> Result<T, BadValue> {
+    let var = match env(name) {
+        None => None,
+        Some(raw) => Some(
+            raw.to_str()
+                .and_then(|text| text.trim().parse().ok())
+                .ok_or_else(|| BadValue {
+                    var: name,
+                    value: raw.to_string_lossy().into_owned(),
+                })?,
+        ),
+    };
+    Ok(flag.or(var).unwrap_or(default))
 }
 
 #[cfg(test)]
@@ -330,12 +422,115 @@ mod tests {
             .all(|s| s.isa == IsaKind::Sira64 && s.model == Model::Serial && s.app == App::Ep));
     }
 
+    /// An environment holding exactly `vars`.
+    fn env<'a>(vars: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<OsString> + 'a {
+        move |name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| OsString::from(v))
+        }
+    }
+
+    fn resolve(opts: &SweepOpts, vars: &[(&str, &str)]) -> Config {
+        opts.resolve(env(vars)).expect("valid values")
+    }
+
     #[test]
-    fn sink_path_appends_wal_to_the_db_path() {
-        let opts = SweepOpts::default();
-        assert_eq!(
-            opts.sink_path(Path::new("/tmp/x.jsonl")),
-            PathBuf::from("/tmp/x.jsonl.wal")
+    fn count_flag_beats_variable_beats_harness_default() {
+        let faults = |opts: &SweepOpts, vars| resolve(opts, vars).fleet.campaign.faults;
+        let (none, set) = (SweepOpts::default(), [("FRACAS_FAULTS", " 12 ")]);
+        let flag = SweepOpts {
+            faults: Some(7),
+            ..SweepOpts::default()
+        };
+        assert_eq!(faults(&flag, &set), 7);
+        assert_eq!(faults(&none, &set), 12);
+        assert_eq!(faults(&none, &[]), 60);
+    }
+
+    #[test]
+    fn rate_flag_beats_variable_beats_default() {
+        let rate = |opts: &SweepOpts, vars| resolve(opts, vars).fleet.campaign.oracle_audit;
+        let (none, set) = (SweepOpts::default(), [("FRACAS_ORACLE_AUDIT", "0.05")]);
+        let flag = SweepOpts {
+            oracle_audit: Some(0.25),
+            ..SweepOpts::default()
+        };
+        assert_eq!(rate(&flag, &set), 0.25);
+        assert_eq!(rate(&none, &set), 0.05);
+        assert_eq!(rate(&none, &[]), 0.0);
+    }
+
+    #[test]
+    fn switch_flag_beats_variable_beats_default() {
+        let prune = |opts: &SweepOpts, vars| resolve(opts, vars).fleet.campaign.prune_classes;
+        let none = SweepOpts::default();
+        let flag = SweepOpts {
+            prune_classes: true,
+            ..SweepOpts::default()
+        };
+        assert!(prune(&flag, &[("FRACAS_PRUNE_CLASSES", "0")]));
+        assert!(prune(&none, &[("FRACAS_PRUNE_CLASSES", "2")]));
+        assert!(!prune(&none, &[("FRACAS_PRUNE_CLASSES", "0")]));
+        assert!(!prune(&none, &[]));
+    }
+
+    #[test]
+    fn path_flag_beats_variable_beats_default() {
+        let db = |opts: &SweepOpts, vars| resolve(opts, vars).db;
+        let (none, set) = (SweepOpts::default(), [("FRACAS_DB", "var.jsonl")]);
+        let flag = SweepOpts {
+            db: Some(PathBuf::from("flag.jsonl")),
+            ..SweepOpts::default()
+        };
+        assert_eq!(db(&flag, &set), PathBuf::from("flag.jsonl"));
+        assert_eq!(db(&none, &set), PathBuf::from("var.jsonl"));
+        assert_eq!(db(&none, &[]), PathBuf::from("fracas_campaigns.jsonl"));
+    }
+
+    #[test]
+    fn sink_is_the_db_path_with_wal_unless_named() {
+        let sink = |opts: &SweepOpts, vars| resolve(opts, vars).sink;
+        let flags = SweepOpts {
+            db: Some(PathBuf::from("/tmp/x.jsonl")),
+            ..SweepOpts::default()
+        };
+        let (var_db, named) = (
+            [("FRACAS_DB", "/tmp/y.jsonl")],
+            [("FRACAS_SINK", "/tmp/v.wal")],
         );
+        assert_eq!(sink(&flags, &[]), PathBuf::from("/tmp/x.jsonl.wal"));
+        assert_eq!(
+            sink(&SweepOpts::default(), &var_db),
+            PathBuf::from("/tmp/y.jsonl.wal")
+        );
+        assert_eq!(sink(&flags, &named), PathBuf::from("/tmp/v.wal"));
+        let sink_flag = SweepOpts {
+            sink: Some(PathBuf::from("/tmp/f.wal")),
+            ..flags
+        };
+        assert_eq!(sink(&sink_flag, &named), PathBuf::from("/tmp/f.wal"));
+    }
+
+    #[test]
+    fn bad_values_name_their_variable() {
+        let overridden = SweepOpts {
+            faults: Some(7),
+            oracle_audit: Some(0.1),
+            prune_classes: true,
+            ..SweepOpts::default()
+        };
+        for (var, value) in [
+            ("FRACAS_FAULTS", "banana"),
+            ("FRACAS_FAULTS", ""),
+            ("FRACAS_ORACLE_AUDIT", "5%"),
+            ("FRACAS_PRUNE_CLASSES", "yes"),
+        ] {
+            for opts in [&SweepOpts::default(), &overridden] {
+                let err = opts.resolve(env(&[(var, value)])).expect_err(var);
+                assert_eq!((err.var, err.value.as_str()), (var, value));
+                assert!(err.to_string().contains(var), "{err}");
+            }
+        }
     }
 }

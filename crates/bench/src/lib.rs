@@ -8,82 +8,29 @@
 //! resume, per-workload progress lines and optional statistical early
 //! stopping.
 //!
-//! * `FRACAS_DB` (default `fracas_campaigns.jsonl`) — the JSON-lines
-//!   database file. [`ensure_db`] loads it, sweeps the scenarios not yet
-//!   covered, and saves it back.
-//! * `FRACAS_SINK` (default `<db>.wal`) — the in-flight record sink; a
-//!   killed sweep resumes from it bit-identically and it is deleted once
-//!   the database is saved.
-//! * `FRACAS_FAULTS` — injections per scenario (default 60; the paper
-//!   used 8,000 on a 5,000-core cluster).
-//! * `FRACAS_EPSILON` — Wilson-interval early-stop half-width as a
-//!   proportion (default 0 = off; see
-//!   [`fracas::inject::FleetConfig::from_env`]).
-//! * `FRACAS_PRUNE_CLASSES` — collapse each campaign's fault list into
-//!   interval-keyed equivalence classes and execute one representative
-//!   per class (default 0 = off; the database stays byte-identical, see
-//!   `fracas::inject::class_plan`).
-//! * `FRACAS_ORACLE_AUDIT` — with `--prune-classes`, the fraction of
-//!   synthesized records (oracle-decided faults and class members) to
-//!   also execute for real and diff against the
-//!   synthesized outcome (default 0 = off); any mismatch aborts the
-//!   sweep before the database is saved.
-//! * `FRACAS_SEED`, `FRACAS_THREADS` — see
-//!   [`fracas::inject::CampaignConfig::from_env`].
+//! Binaries take their configuration from [`cli::SweepOpts::resolve`],
+//! the one reader of the `FRACAS_*` environment variables: campaign
+//! knobs (faults per scenario, default 60; seed; threads; checkpoints;
+//! class pruning; oracle-audit rate; early-stop ε) and the database and
+//! sink paths. [`ensure_db`] loads the database, sweeps the scenarios
+//! not yet covered, and saves it back; a killed sweep resumes from the
+//! sink bit-identically, and the sink is deleted once the database is
+//! saved.
 
-use fracas::inject::{CampaignConfig, CampaignResult, FleetConfig, Workload};
+use fracas::inject::{CampaignResult, FleetConfig, Workload};
 use fracas::mine::{parse_id, Database};
 use fracas::npb::Scenario;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 pub mod cli;
 pub mod reports;
 
-/// The database path from `FRACAS_DB` (default `fracas_campaigns.jsonl`
-/// in the working directory).
-pub fn db_path() -> PathBuf {
-    std::env::var_os("FRACAS_DB")
-        .map_or_else(|| PathBuf::from("fracas_campaigns.jsonl"), PathBuf::from)
-}
-
-/// The in-flight record-sink path from `FRACAS_SINK` (default: the
-/// database path with a `.wal` suffix appended).
-pub fn sink_path() -> PathBuf {
-    std::env::var_os("FRACAS_SINK").map_or_else(
-        || {
-            let mut p = db_path().into_os_string();
-            p.push(".wal");
-            PathBuf::from(p)
-        },
-        PathBuf::from,
-    )
-}
-
-/// The campaign configuration from the environment, with the harness
-/// default of 60 injections per scenario.
-pub fn config() -> CampaignConfig {
-    let mut config = CampaignConfig::from_env();
-    if std::env::var_os("FRACAS_FAULTS").is_none() {
-        config.faults = 60;
-    }
-    config
-}
-
-/// The sweep configuration from the environment: [`config`] plus the
-/// ε/confidence knobs, with progress lines enabled.
-pub fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        campaign: config(),
-        progress: true,
-        ..FleetConfig::from_env()
-    }
-}
-
 /// Loads the shared database, sweeps any of `scenarios` not yet present
-/// through the fleet orchestrator (one shared worker pool, record sink
-/// at [`sink_path`], progress on stderr), appends the results and saves
-/// the file.
+/// through the fleet orchestrator (one shared worker pool, crash-safe
+/// record sink, progress on stderr), appends the results and saves the
+/// file. The configuration and paths come from the environment alone
+/// ([`cli::SweepOpts::config`]); a bad value exits with status 2.
 ///
 /// # Panics
 ///
@@ -91,7 +38,8 @@ pub fn fleet_config() -> FleetConfig {
 /// unreadable/corrupt — both indicate a broken installation rather than
 /// user input.
 pub fn ensure_db(scenarios: &[Scenario]) -> Database {
-    run_sweep(scenarios, &fleet_config(), &db_path(), &sink_path())
+    let config = cli::SweepOpts::default().config(cli::ENV_USAGE);
+    run_sweep(scenarios, &config.fleet, &config.db, &config.sink)
 }
 
 /// The orchestrated sweep behind [`ensure_db`] with explicit paths and
@@ -245,23 +193,4 @@ pub fn pct_row(result: &CampaignResult) -> [f64; 5] {
         result.tally.pct(Outcome::Ut),
         result.tally.pct(Outcome::Hang),
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_has_harness_fault_count() {
-        if std::env::var_os("FRACAS_FAULTS").is_none() {
-            assert_eq!(config().faults, 60);
-        }
-    }
-
-    #[test]
-    fn db_path_defaults() {
-        if std::env::var_os("FRACAS_DB").is_none() {
-            assert_eq!(db_path(), PathBuf::from("fracas_campaigns.jsonl"));
-        }
-    }
 }

@@ -4,8 +4,8 @@
 //! The prune oracle and the static AVF analysis classify fault outcomes
 //! *without executing them*, trusting that the declared [`Effects`] of
 //! every instruction describe exactly what the interpreter does. This
-//! module closes that loop at runtime: with `FRACAS_CHECK_EFFECTS=1`
-//! (or [`crate::Machine::set_effect_check`]), every executed
+//! module closes that loop at runtime: with
+//! [`crate::Machine::set_effect_check`] on, every executed
 //! instruction's observable state transition — register and flag
 //! writes, PC update, trap class, cycle charge and event counters — is
 //! compared against its declaration, and any divergence panics with the
@@ -16,8 +16,8 @@
 //! * **Writes are checked here, dynamically**: a pre/post diff of the
 //!   core exposes every register the instruction actually changed, so
 //!   the DEF-exactness half of the liveness contract is verified on
-//!   every step of a checked run (CI runs one NPB golden execution per
-//!   ISA this way).
+//!   every step of a checked run (the `check_effects` binary runs the
+//!   NPB golden executions this way).
 //! * **Reads cannot be observed in a diff** — a spurious read leaves no
 //!   trace. The USE side is verified by the randomized differential in
 //!   `crates/isa/tests/effects_props.rs`, which perturbs registers
@@ -42,17 +42,6 @@ use fracas_isa::effects::{
     CtrlFlow, Effects, MemEffect, TrapClass, FLAG_C, FLAG_N, FLAG_V, FLAG_Z,
 };
 use fracas_isa::{Inst, IsaKind};
-use std::sync::OnceLock;
-
-/// The process-wide `FRACAS_CHECK_EFFECTS` default (cached; set to a
-/// non-empty value other than `0` to enable checking on every machine
-/// constructed or restored afterwards).
-pub(crate) fn enabled_from_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("FRACAS_CHECK_EFFECTS").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
-}
 
 /// One observed execution step: the core before and after `exec`, the
 /// instruction, and what the interpreter reported.

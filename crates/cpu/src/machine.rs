@@ -144,9 +144,9 @@ pub struct Machine {
     /// execution and is excluded from snapshots.
     trace: Option<ExecTrace>,
     /// Per-step effects conformance checking (see [`crate::check`]).
-    /// Initialised from `FRACAS_CHECK_EFFECTS`; an observer like
-    /// `profile`/`trace`, so it is excluded from snapshots and state
-    /// comparison and never influences execution.
+    /// Off after [`Machine::new`] and [`Machine::restore`]; an observer
+    /// like `profile`/`trace`, so it is excluded from snapshots and
+    /// state comparison and never influences execution.
     check_effects: bool,
     /// Force the structured-[`Inst`] reference interpreter instead of
     /// the predecoded fast path (see [`Machine::set_reference_exec`]).
@@ -226,7 +226,7 @@ impl Machine {
             caches: MemSystem::new(cores, cache),
             profile: None,
             trace: None,
-            check_effects: crate::check::enabled_from_env(),
+            check_effects: false,
             ref_exec: false,
         }
     }
@@ -272,9 +272,9 @@ impl Machine {
         self.check_effects
     }
 
-    /// Turns per-step effects conformance checking on or off,
-    /// overriding the `FRACAS_CHECK_EFFECTS` environment default. When
-    /// on, every executed instruction is verified against its declared
+    /// Turns per-step effects conformance checking on or off (a new or
+    /// restored machine starts with it off). When on, every executed
+    /// instruction is verified against its declared
     /// [`fracas_isa::Effects`] (see the `check` module); a divergence
     /// panics. Checking observes execution without influencing it.
     pub fn set_effect_check(&mut self, on: bool) {
@@ -293,8 +293,8 @@ impl Machine {
     /// the predecoded table. Architecturally the two paths are
     /// identical — the differential test suite steps them in lockstep
     /// — so this is purely a verification hook (it is also the path
-    /// the `FRACAS_CHECK_EFFECTS` conformance checker observes, since
-    /// the checker needs the structured instruction).
+    /// the [`Machine::set_effect_check`] conformance checker observes,
+    /// since the checker needs the structured instruction).
     pub fn set_reference_exec(&mut self, on: bool) {
         self.ref_exec = on;
     }
@@ -772,7 +772,8 @@ impl Machine {
 
     /// Reconstructs a machine from a snapshot. The result is
     /// bit-identical to the machine the snapshot was taken from, except
-    /// that profiling is disabled (see [`Machine::snapshot`]).
+    /// that profiling and effect checking are off (see
+    /// [`Machine::snapshot`]).
     pub fn restore(snap: &MachineSnapshot) -> Machine {
         Machine {
             isa: snap.isa,
@@ -786,7 +787,7 @@ impl Machine {
             caches: snap.caches.clone(),
             profile: None,
             trace: None,
-            check_effects: crate::check::enabled_from_env(),
+            check_effects: false,
             ref_exec: false,
         }
     }

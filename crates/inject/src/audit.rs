@@ -1,4 +1,5 @@
-//! Sampled oracle-vs-execution auditing (`FRACAS_ORACLE_AUDIT`).
+//! Sampled oracle-vs-execution auditing
+//! ([`CampaignConfig::oracle_audit`](crate::CampaignConfig::oracle_audit)).
 //!
 //! The prune oracle's `Some` verdicts are *claims of proof*: a pruned
 //! campaign synthesizes those records without executing them, so an

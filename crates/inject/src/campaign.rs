@@ -85,7 +85,7 @@ impl Workload {
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Number of injections (the paper uses 8,000 per scenario; the
-    /// laptop default is environment-tunable via `FRACAS_FAULTS`).
+    /// default is 100).
     pub faults: usize,
     /// RNG seed (combined with the workload id per campaign).
     pub seed: u64,
@@ -98,8 +98,7 @@ pub struct CampaignConfig {
     pub batch: usize,
     /// Checkpoints captured during the golden run (between `checkpoints`
     /// and `2 * checkpoints` evenly spaced snapshots; 0 disables
-    /// checkpointing and every injection replays from boot). Tunable via
-    /// `FRACAS_CHECKPOINTS`.
+    /// checkpointing and every injection replays from boot).
     pub checkpoints: usize,
     /// The sampled fault space.
     pub space: FaultSpace,
@@ -114,9 +113,9 @@ pub struct CampaignConfig {
     /// `fracas_analyze::intervals`), so databases stay byte-identical
     /// with the mode on or off and the knob is excluded from
     /// orchestrator fingerprints except where auditing makes the sink's
-    /// audit lines differ. Tunable via `FRACAS_PRUNE_CLASSES`.
+    /// audit lines differ.
     pub prune_classes: bool,
-    /// Oracle-audit sampling rate in `[0, 1]` (`FRACAS_ORACLE_AUDIT`):
+    /// Oracle-audit sampling rate in `[0, 1]`:
     /// with [`CampaignConfig::prune_classes`] on, this fraction of the
     /// records that rest on a claim — decided faults, non-representative
     /// class members, and representatives that started from a checkpoint
@@ -147,45 +146,11 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Reads `FRACAS_FAULTS`, `FRACAS_SEED`, `FRACAS_THREADS`,
-    /// `FRACAS_CHECKPOINTS`, `FRACAS_PRUNE_CLASSES` and
-    /// `FRACAS_ORACLE_AUDIT` from the environment over the defaults.
-    pub fn from_env() -> CampaignConfig {
-        let mut config = CampaignConfig::default();
-        if let Some(v) = env_u64("FRACAS_FAULTS") {
-            config.faults = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_SEED") {
-            config.seed = v;
-        }
-        if let Some(v) = env_u64("FRACAS_THREADS") {
-            config.threads = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_CHECKPOINTS") {
-            config.checkpoints = v as usize;
-        }
-        if let Some(v) = env_u64("FRACAS_PRUNE_CLASSES") {
-            config.prune_classes = v != 0;
-        }
-        if let Some(v) = env_f64("FRACAS_ORACLE_AUDIT") {
-            config.oracle_audit = v;
-        }
-        config
-    }
-
     /// Whether this configuration audits anything: a nonzero sampling
     /// rate only matters when pruning produces claims to audit.
     pub(crate) fn audits(&self) -> bool {
         self.prune_classes && self.oracle_audit > 0.0
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-pub(crate) fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Golden-run reference data (phase one).
@@ -815,14 +780,6 @@ mod tests {
         assert_eq!(streamed.rep, whole.rep);
         assert_eq!(streamed.horizon, whole.horizon);
         assert_eq!(streamed.stats(), whole.stats());
-    }
-
-    #[test]
-    fn config_from_env_defaults() {
-        // Without env vars set, from_env equals the default.
-        let c = CampaignConfig::from_env();
-        assert_eq!(c.batch, CampaignConfig::default().batch);
-        assert_eq!(c.watchdog_factor, CampaignConfig::default().watchdog_factor);
     }
 
     #[test]

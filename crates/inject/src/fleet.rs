@@ -61,8 +61,6 @@ pub struct FleetConfig {
     /// (default) disables early stopping, so every workload runs its
     /// full fault list.
     pub epsilon: f64,
-    /// Critical value of the confidence interval (default 1.96 ≙ 95%).
-    pub z: f64,
     /// Minimum committed injections before early stopping may trigger,
     /// so tiny prefixes with degenerate intervals cannot stop a
     /// campaign (default 50).
@@ -77,7 +75,6 @@ impl Default for FleetConfig {
         FleetConfig {
             campaign: CampaignConfig::default(),
             epsilon: 0.0,
-            z: 1.96,
             min_samples: 50,
             progress: false,
         }
@@ -85,28 +82,10 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Reads the campaign knobs ([`CampaignConfig::from_env`]) plus
-    /// `FRACAS_EPSILON`, `FRACAS_Z` and `FRACAS_MIN_SAMPLES` from the
-    /// environment over the defaults.
-    pub fn from_env() -> FleetConfig {
-        let mut config = FleetConfig {
-            campaign: CampaignConfig::from_env(),
-            ..FleetConfig::default()
-        };
-        if let Some(v) = env_f64("FRACAS_EPSILON") {
-            config.epsilon = v;
-        }
-        if let Some(v) = env_f64("FRACAS_Z") {
-            config.z = v;
-        }
-        if let Some(v) = env_f64("FRACAS_MIN_SAMPLES") {
-            config.min_samples = v as usize;
-        }
-        config
-    }
+    /// Critical value of the early-stopping confidence interval
+    /// (1.96 ≙ 95%).
+    pub const Z: f64 = 1.96;
 }
-
-use crate::campaign::env_f64;
 
 /// One line of the sink file: an injection record or an oracle-audit
 /// entry, tagged with its workload id. An audited record emits its
@@ -380,7 +359,7 @@ fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize
         if config.epsilon > 0.0
             && slots.committed >= config.min_samples.max(1)
             && stop_at.load(Ordering::Relaxed) == NOT_STOPPED
-            && slots.prefix.max_wilson_half_width(config.z) < config.epsilon
+            && slots.prefix.max_wilson_half_width(FleetConfig::Z) < config.epsilon
         {
             stop_at.store(slots.committed, Ordering::Relaxed);
         }
@@ -847,7 +826,6 @@ mod tests {
     fn default_config_disables_early_stopping() {
         let c = FleetConfig::default();
         assert_eq!(c.epsilon, 0.0);
-        assert!((c.z - 1.96).abs() < 1e-12);
         assert_eq!(c.min_samples, 50);
     }
 

@@ -29,11 +29,10 @@
 //!   into def→use interval classes that execute one representative
 //!   each ([`class_plan`]) — byte-identically to the full campaign.
 //! * **Sampled oracle auditing**: with [`CampaignConfig::oracle_audit`]
-//!   (`FRACAS_ORACLE_AUDIT=<rate>`) a deterministic, seed-derived
-//!   fraction of the synthesized records is *also* executed for real
-//!   and the classified outcome diffed against the verdict or the
-//!   representative's outcome ([`OracleAuditReport`]); a mismatch fails
-//!   the sweep.
+//!   a deterministic, seed-derived fraction of the synthesized records
+//!   is *also* executed for real and the classified outcome diffed
+//!   against the verdict or the representative's outcome
+//!   ([`OracleAuditReport`]); a mismatch fails the sweep.
 //! * **Distribution** (§3.2.4): the fleet orchestrator ([`run_fleet`])
 //!   runs golden runs and injection batches of every workload on one
 //!   shared work queue over host threads; results are index-sorted, so

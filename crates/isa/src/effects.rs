@@ -11,7 +11,7 @@
 //! set silently corrupts every pruned fault database. Centralising the
 //! table turns "the matches happen to agree" into a checkable invariant:
 //! the interpreter can be run under a conformance checker
-//! (`FRACAS_CHECK_EFFECTS=1`) that asserts every architectural write,
+//! (`Machine::set_effect_check`) that asserts every architectural write,
 //! PC update and cycle charge matches the declaration here, and a
 //! property test perturbs registers outside the declared use set and
 //! asserts the instruction cannot tell the difference.

@@ -1,7 +1,7 @@
 //! Dynamic-vs-declared differential for the effects layer: the USE
 //! side of the conformance argument.
 //!
-//! The runtime checker (`FRACAS_CHECK_EFFECTS=1` in `fracas-cpu`)
+//! The runtime checker (`Machine::set_effect_check` in `fracas-cpu`)
 //! verifies the *write* half of every [`Effects`] declaration by
 //! diffing the core around each step — but a spurious **read** leaves
 //! no trace in a diff. This test closes that gap by perturbation:
