@@ -63,10 +63,9 @@ fn interval_set(
         TraceKind::Save { .. } => Some(all_regs(isa)),
         // A dispatch overwrites the whole register file.
         TraceKind::Dispatch { .. } => Some(RegSet::EMPTY),
-        // Neither touches a register file: context writes land in a
-        // blocked thread's spill slot, text patches in instruction
-        // memory.
-        TraceKind::CtxWrite { .. } | TraceKind::TextPatch { .. } => None,
+        // A context write lands in a blocked thread's spill slot, not
+        // in a register file.
+        TraceKind::CtxWrite { .. } => None,
     }
 }
 

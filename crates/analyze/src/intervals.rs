@@ -34,20 +34,15 @@
 //! (one is overwritten, one survives into the next interval), so the
 //! def ends the class.
 //!
-//! The public key is [`Fingerprint`]:
+//! [`PruneOracle::fingerprint`] is the oracle's one decision entry
+//! point, and its [`Fingerprint`] is the interval half of a class key:
 //!
-//! * faults the oracle fully decides ([`PruneVerdict`]) collapse into
-//!   one class per verdict — every decided fault of a workload
-//!   synthesizes the same golden-timing record, so a single
-//!   representative (or none: the verdict itself suffices) covers all
-//!   of them;
-//! * live (abstained) faults carry the landing interval id plus a
-//!   context hash of the ops at the interval's end. The interval id
-//!   separates classes *exactly* (the argument above); the context hash
-//!   recurs across loop iterations that end at the same static code
-//!   position, which is what the cross-interval merge tier keys on
-//!   (same context, different iteration — *not* exact, so the sampled
-//!   member audit is its backstop).
+//! * faults the oracle fully decides ([`PruneVerdict`]) carry the
+//!   verdict — each synthesizes its own golden-timing record, so none
+//!   of them executes;
+//! * live (abstained) faults carry the id of their landing interval:
+//!   the index of the op that ends it. Same coordinates and same
+//!   interval separate classes *exactly* (the argument above).
 //!
 //! `fracas-inject`'s `ClassPlan` consumes these keys: one member per
 //! class executes, the rest synthesize the representative's record with
@@ -59,37 +54,21 @@
 use crate::prune::{Chunk, Landing, Op, PruneOracle, PruneTarget, PruneVerdict, CHUNK};
 use crate::usedef::RegSet;
 
-/// The number of trailing-context ops folded into a live fingerprint's
-/// hash. Eight is enough to distinguish unrelated intervals that happen
-/// to share an interacting op while keeping the hash cheap.
-const CONTEXT_WINDOW: usize = 8;
-
 /// The interval half of an equivalence-class key. The fingerprint
-/// deliberately carries **no fault coordinates** — callers key classes
-/// on `(core, target, bit, width, fingerprint)` themselves (or on a
-/// coarsened bit class, for the audit-backstopped merge tiers), so the
-/// same fingerprint serves both the exact and the heuristic keyings.
+/// deliberately carries **no fault coordinates**: callers key classes
+/// on `(core, target, bit, width, fingerprint)` themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Fingerprint {
-    /// The oracle proves the outcome without execution; all faults of a
-    /// workload sharing a verdict share a (synthesized, golden-timing)
-    /// record.
+    /// The oracle proves the outcome without execution: the fault
+    /// synthesizes a golden-timing record carrying the verdict.
     Decided(PruneVerdict),
     /// The fault must run for real. Same `(core, target, bit, width)`
-    /// coordinates + same landing `interval` ⇒ identical record
-    /// (exact); same coordinates + same `context` ⇒ heuristically
-    /// equivalent (audit-backstopped).
+    /// coordinates + same landing `interval` ⇒ identical record.
     Live {
         /// Index of the interval-ending op (the first op at or after
         /// the landing that interacts with the target on the struck
         /// core), or `ops.len()` when nothing ever interacts.
         interval: u32,
-        /// FNV-1a hash of the `CONTEXT_WINDOW` ops ending the
-        /// interval (and nothing else — coordinates are the caller's
-        /// job). Two intervals ending at the same static code position
-        /// with the same upcoming interacting ops — e.g. successive
-        /// iterations of the same loop — hash equal.
-        context: u64,
     },
 }
 
@@ -108,67 +87,6 @@ pub struct Horizon {
     pub core: usize,
     /// `core`'s clock at the end of that op's tick.
     pub cycle: u64,
-}
-
-/// FNV-1a, the same cheap deterministic hash the campaign seeds use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.u64(v as u64);
-    }
-}
-
-fn hash_regset(h: &mut Fnv, s: RegSet) {
-    h.u32(s.gprs);
-    h.u32(s.fprs);
-    h.u32(s.flags as u32);
-}
-
-fn hash_op(h: &mut Fnv, op: Op, oracle: &PruneOracle) {
-    match op {
-        Op::Exec { core, pc } => {
-            let fx = oracle.fx(pc);
-            h.u32(1);
-            h.u32(core);
-            hash_regset(h, fx.uses);
-            hash_regset(h, fx.defs);
-            h.u32(fx.uses_all_gprs as u32);
-            h.u32(pc);
-            h.u32(fx.ctrl as u32);
-        }
-        Op::Skip { core, pc } => {
-            h.u32(2);
-            h.u32(core);
-            h.u32(oracle.fx(pc).cond_flags as u32);
-            h.u32(pc);
-        }
-        Op::Dispatch { core, tid } => {
-            h.u32(3);
-            h.u32(core);
-            h.u32(tid);
-        }
-        Op::Save { core, tid } => {
-            h.u32(4);
-            h.u32(core);
-            h.u32(tid);
-        }
-        Op::CtxWrite { tid } => {
-            h.u32(5);
-            h.u32(tid);
-        }
-    }
 }
 
 /// Does `op` interact with `target` while the flip sits (only) on core
@@ -233,36 +151,23 @@ impl PruneOracle {
         self.ops.len()
     }
 
-    /// The interval fingerprint of striking `target` on `core` at
-    /// `cycle`. `None` only for a core the golden trace never saw (such
-    /// faults are singletons anyway).
+    /// Decides striking `target` on `core` at `cycle`: the verdict when
+    /// the oracle proves the outcome, else the landing interval the
+    /// fault must run in. `None` only for a core the golden trace never
+    /// saw (the timing core 0, for a text target); such faults are
+    /// singletons. Abstaining is always sound; a verdict is exact.
     ///
     /// Combined with the fault coordinates by the caller: same
     /// `(core, target, bit, width)` + same fingerprint ⇒ identical
-    /// injection record (outcome, cycles, instructions) — exact for
-    /// [`Fingerprint::Decided`] by the oracle's soundness proof, exact
-    /// for [`Fingerprint::Live`] compared by `interval`, heuristic
-    /// (audit-backstopped) compared by `context` alone.
+    /// injection record (outcome, cycles, instructions).
     pub fn fingerprint(&self, core: usize, target: PruneTarget, cycle: u64) -> Option<Fingerprint> {
         if let PruneTarget::Text { word, mask } = target {
             // Text faults key on the first fetch of the corrupted word —
             // the exact analogue of the register interval end (see
             // [`crate::textfault`]): between the landing and that fetch
             // nothing can observe the flip, so every member of the class
-            // replays the representative's record byte for byte. The
-            // context hash rides along for symmetry; it cannot merge
-            // classes the interval would keep apart (the key compares
-            // both fields).
-            return match self.text_outcome(word, mask, cycle) {
-                crate::textfault::TextOutcome::Decided(v) => Some(Fingerprint::Decided(v)),
-                crate::textfault::TextOutcome::Live(end) => Some(Fingerprint::Live {
-                    interval: end as u32,
-                    context: self.context_hash(end),
-                }),
-                // A self-patched word must not be classed at all: the
-                // caller surfaces it as an `Unmodeled::Text` singleton.
-                crate::textfault::TextOutcome::Undecidable => None,
-            };
+            // replays the representative's record byte for byte.
+            return self.text_outcome(word, mask, cycle);
         }
         let start = match self.landing(core, cycle)? {
             Landing::Unapplied => return Some(Fingerprint::Decided(PruneVerdict::Vanished)),
@@ -274,7 +179,6 @@ impl PruneOracle {
         let end = self.interval_end(start, core as u32, target);
         Some(Fingerprint::Live {
             interval: end as u32,
-            context: self.context_hash(end),
         })
     }
 
@@ -283,11 +187,9 @@ impl PruneOracle {
     /// landing table. `None` for a decided fingerprint and for an
     /// interval that never ends (`interval == ops.len()`).
     pub fn horizon(&self, fingerprint: Fingerprint) -> Option<Horizon> {
-        let Fingerprint::Live { interval, .. } = fingerprint else {
+        let Fingerprint::Live { interval } = fingerprint else {
             return None;
         };
-        // `ops` skips `TextPatch` events, so the interval indexes ops,
-        // never raw trace events.
         let core = self.ops.get(interval as usize)?.core()?;
         let landings = &self.landings[core as usize];
         let i = landings
@@ -298,19 +200,22 @@ impl PruneOracle {
             cycle: landings[i].0,
         })
     }
+}
 
-    /// FNV-1a over the `CONTEXT_WINDOW` ops starting at `end` — the
-    /// context half of a live fingerprint. The window is anchored at the
-    /// interval's *end* so that every landing inside the interval hashes
-    /// the same ops; ticks, cycles and op indices are deliberately
-    /// excluded (they differ per landing and per loop iteration — which
-    /// is exactly what lets contexts recur across iterations).
-    pub(crate) fn context_hash(&self, end: usize) -> u64 {
-        let mut h = Fnv::new();
-        for &op in &self.ops[end.min(self.ops.len())..(end + CONTEXT_WINDOW).min(self.ops.len())] {
-            hash_op(&mut h, op, self);
+#[cfg(test)]
+impl PruneOracle {
+    /// The verdict [`PruneOracle::fingerprint`] decides, `None` where it
+    /// abstains (the unit tests' shorthand).
+    pub(crate) fn decided(
+        &self,
+        core: usize,
+        target: PruneTarget,
+        cycle: u64,
+    ) -> Option<PruneVerdict> {
+        match self.fingerprint(core, target, cycle)? {
+            Fingerprint::Decided(v) => Some(v),
+            Fingerprint::Live { .. } => None,
         }
-        h.0
     }
 }
 
@@ -391,13 +296,8 @@ mod tests {
         let a = o.fingerprint(0, R3, 11).unwrap();
         let b = o.fingerprint(0, R3, 21).unwrap();
         assert_ne!(a, b);
-        // The straight-line adds share no context either: the windows
-        // start at different interval-ending ops with different PCs.
-        let (Fingerprint::Live { context: ca, .. }, Fingerprint::Live { context: cb, .. }) = (a, b)
-        else {
-            panic!("r3 faults mid-run are live: {a:?} {b:?}");
-        };
-        assert_ne!(ca, cb);
+        assert_eq!(a, Fingerprint::Live { interval: 1 });
+        assert_eq!(b, Fingerprint::Live { interval: 2 });
     }
 
     #[test]
@@ -417,23 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_agrees_with_verdict() {
-        let o = oracle();
-        for reg in 0..16u32 {
-            let t = PruneTarget::Gpr { reg };
-            for cycle in [5u64, 15, 21, 25, 31, 41, 51, 100] {
-                let v = o.verdict(0, t, cycle);
-                let f = o.fingerprint(0, t, cycle).unwrap();
-                match (v, f) {
-                    (Some(v), Fingerprint::Decided(d)) => assert_eq!(v, d),
-                    (None, Fingerprint::Live { .. }) => {}
-                    (v, f) => panic!("verdict {v:?} vs fingerprint {f:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn horizon_is_the_interval_ending_op_on_the_clock() {
         let o = oracle();
         // Cycle 21 crosses on tick 1 (clock 30); the flip sits from
@@ -448,7 +331,6 @@ mod tests {
         assert_eq!(o.horizon(dead), None);
         let open = Fingerprint::Live {
             interval: o.ops.len() as u32,
-            context: 0,
         };
         assert_eq!(o.horizon(open), None);
     }

@@ -23,7 +23,10 @@
 //!    under a context-switching kernel (a dead register still gets
 //!    copied into a thread's saved context and may resurface
 //!    elsewhere), so the static side estimates and the dynamic side
-//!    decides.
+//!    decides. Every decision goes through one entry point,
+//!    [`PruneOracle::fingerprint`]: the verdict where the outcome is
+//!    proven, else the def→use interval ([`intervals`]) the fault must
+//!    execute in.
 //!
 //! Since PR 8 the same oracle also decides **instruction-memory**
 //! faults ([`textfault`]): a text-bit flip's only observable channel is

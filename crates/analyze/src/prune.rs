@@ -6,7 +6,9 @@
 //! provable, and abstains otherwise. `fracas-inject`'s `prune_classes`
 //! campaign mode short-circuits provable injections and runs the rest
 //! for real (one execution per interval class); a pruned campaign's
-//! records are byte-identical to a full campaign's.
+//! records are byte-identical to a full campaign's. Callers ask through
+//! one entry point, [`PruneOracle::fingerprint`] ([`crate::intervals`]),
+//! which runs the landing rule and the taint walk below.
 //!
 //! # Why a dynamic oracle and not the static dead windows?
 //!
@@ -79,7 +81,7 @@
 
 use crate::usedef::RegSet;
 use fracas_cpu::{ExecTrace, TraceEvent, TraceKind};
-use fracas_isa::{CtrlFlow, Effects, Inst, InstKind, IsaKind};
+use fracas_isa::{Effects, Inst, InstKind, IsaKind};
 
 /// The architectural location a fault flips (already folded to one
 /// register: the injector's multi-bit upsets wrap within a register).
@@ -186,9 +188,7 @@ pub(crate) enum Op {
 }
 
 /// What committing one text word does to the register file, resolved
-/// once per word so each per-fault walk is mask arithmetic only. The
-/// control-flow class rides along for the def→use interval
-/// fingerprints ([`crate::intervals`]); the walk itself never reads it.
+/// once per word so each per-fault walk is mask arithmetic only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WordFx {
     /// Registers an executed commit may read.
@@ -197,8 +197,6 @@ pub(crate) struct WordFx {
     pub(crate) defs: RegSet,
     /// Whether an executed commit reads every GPR (an unmodelled `svc`).
     pub(crate) uses_all_gprs: bool,
-    /// Control-flow class of the instruction (see [`ctrl_class`]).
-    pub(crate) ctrl: u8,
     /// Flags an annulled commit reads (its condition).
     pub(crate) cond_flags: u8,
 }
@@ -222,7 +220,6 @@ impl WordFx {
             uses,
             defs,
             uses_all_gprs,
-            ctrl: ctrl_class(fx.ctrl),
             cond_flags: crate::usedef::cond_reads(inst.cond),
         }
     }
@@ -235,30 +232,10 @@ impl WordFx {
             uses: crate::liveness::all_regs(isa),
             defs: RegSet::EMPTY,
             uses_all_gprs: true,
-            ctrl: CTRL_UNKNOWN,
             cond_flags: crate::usedef::FLAG_ALL,
         }
     }
 }
-
-/// A small dense encoding of [`CtrlFlow`] for interval-context hashing:
-/// two instructions whose control leaves the PC the same way share a
-/// class even when branch offsets differ.
-pub(crate) fn ctrl_class(ctrl: CtrlFlow) -> u8 {
-    match ctrl {
-        CtrlFlow::Fall => 0,
-        CtrlFlow::Relative { link: false, .. } => 1,
-        CtrlFlow::Relative { link: true, .. } => 2,
-        CtrlFlow::Indirect { link: false } => 3,
-        CtrlFlow::Indirect { link: true } => 4,
-        CtrlFlow::Svc => 5,
-        CtrlFlow::Halt => 6,
-    }
-}
-
-/// The `ctrl` value of a commit outside the known text (the
-/// read-everything barrier case).
-pub(crate) const CTRL_UNKNOWN: u8 = 7;
 
 /// The precise register effects of one `svc`, replacing the declarative
 /// layer's read-every-GPR over-approximation during oracle digestion:
@@ -420,10 +397,6 @@ pub struct PruneOracle {
     pub(crate) words: Vec<u32>,
     /// Base address of the text section.
     pub(crate) text_base: u32,
-    /// Words the golden run itself overwrote ([`TraceKind::TextPatch`]):
-    /// the digested text is stale for them, so every text-fault verdict
-    /// on such a word is void (see [`crate::textfault`]).
-    pub(crate) patched_words: std::collections::HashSet<u32>,
     /// Lazily built fetch index: text-word index → sorted op indices of
     /// every commit (executed *or* annulled — annulled instructions
     /// fetch and predecode before their condition is evaluated) at that
@@ -449,7 +422,6 @@ pub struct OracleBuilder {
     ticks: Vec<u64>,
     landings: Vec<Vec<(u64, u32)>>,
     tid_count: usize,
-    patched_words: std::collections::HashSet<u32>,
 }
 
 impl OracleBuilder {
@@ -473,20 +445,12 @@ impl OracleBuilder {
             ops: Vec::new(),
             ticks: Vec::new(),
             tid_count: 0,
-            patched_words: std::collections::HashSet::new(),
         }
     }
 
     /// Digests the next event of the trace (events must arrive in trace
     /// order, stamped: drain closed ticks only).
     pub fn push(&mut self, ev: &TraceEvent) {
-        // A text patch contributes no op: the register analyses and
-        // every op/tick/landing index stay exactly as they were before
-        // the event existed.
-        if let TraceKind::TextPatch { word } = ev.kind {
-            self.patched_words.insert(word);
-            return;
-        }
         let idx = self.ops.len() as u32;
         let op = match ev.kind {
             TraceKind::Commit { pc, skipped: false } => Op::Exec { core: ev.core, pc },
@@ -494,7 +458,6 @@ impl OracleBuilder {
             TraceKind::Dispatch { tid } => Op::Dispatch { core: ev.core, tid },
             TraceKind::Save { tid } => Op::Save { core: ev.core, tid },
             TraceKind::CtxWrite { tid } => Op::CtxWrite { tid },
-            TraceKind::TextPatch { .. } => unreachable!("handled above"),
         };
         if let Op::Dispatch { tid, .. } | Op::Save { tid, .. } | Op::CtxWrite { tid } = op {
             self.tid_count = self.tid_count.max(tid as usize + 1);
@@ -526,7 +489,6 @@ impl OracleBuilder {
             isa: self.isa,
             words: self.words,
             text_base: self.text_base,
-            patched_words: self.patched_words,
             fetch_index: std::sync::OnceLock::new(),
         };
         oracle.chunks = oracle
@@ -574,11 +536,9 @@ pub(crate) enum Landing {
 
 impl PruneOracle {
     /// Digests a golden trace against its decoded text section.
-    /// `text[i]` is the instruction at `text_base + 4 * i`. Words the
-    /// traced run itself patched ([`TraceKind::TextPatch`]) are
-    /// remembered so the decode-differential layer can abstain on them;
-    /// the bundled workloads never self-patch, so the set is empty for
-    /// every real golden run.
+    /// `text[i]` is the instruction at `text_base + 4 * i`; a traced run
+    /// never changes its text (`Machine::patch_text_word` refuses while
+    /// tracing is on), so this is what every traced fetch read.
     pub fn new(isa: IsaKind, text: &[Inst], text_base: u32, trace: &ExecTrace) -> PruneOracle {
         let mut builder = OracleBuilder::new(isa, text, text_base, trace.start_cycles.clone());
         builder.ops.reserve_exact(trace.events.len());
@@ -657,28 +617,6 @@ impl PruneOracle {
                 }
                 _ => None,
             }),
-        }
-    }
-
-    /// Decides the outcome of flipping `target` on `core` at `cycle`,
-    /// or `None` when the fault may propagate and must run for real.
-    /// Abstention is always sound; a `Some` verdict is exact.
-    pub fn verdict(&self, core: usize, target: PruneTarget, cycle: u64) -> Option<PruneVerdict> {
-        if let PruneTarget::Text { word, mask } = target {
-            // Text faults are decided by the decode-differential layer
-            // (fetch reachability + decode equivalence), never by the
-            // register taint walk. Live and undecidable outcomes both
-            // abstain here; callers that need to distinguish them check
-            // [`PruneOracle::text_patched`] first.
-            return match self.text_outcome(word, mask, cycle) {
-                crate::textfault::TextOutcome::Decided(v) => Some(v),
-                crate::textfault::TextOutcome::Live(_)
-                | crate::textfault::TextOutcome::Undecidable => None,
-            };
-        }
-        match self.landing(core, cycle)? {
-            Landing::Unapplied => Some(PruneVerdict::Vanished),
-            Landing::At(start) => self.walk(start, core, target),
         }
     }
 
@@ -838,10 +776,10 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 1 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 1 }, 5),
             Some(PruneVerdict::Vanished)
         );
-        assert_eq!(oracle.verdict(0, PruneTarget::Gpr { reg: 2 }, 5), None);
+        assert_eq!(oracle.decided(0, PruneTarget::Gpr { reg: 2 }, 5), None);
     }
 
     #[test]
@@ -852,7 +790,7 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 7 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 7 }, 5),
             Some(PruneVerdict::SilentResidue)
         );
     }
@@ -863,7 +801,7 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 2 }, 1_000_000),
+            oracle.decided(0, PruneTarget::Gpr { reg: 2 }, 1_000_000),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -881,13 +819,13 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 7 }, 25),
+            oracle.decided(0, PruneTarget::Gpr { reg: 7 }, 25),
             Some(PruneVerdict::Vanished)
         );
         // One tick earlier the fault really lands and the residue is
         // visible at exit.
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 7 }, 15),
+            oracle.decided(0, PruneTarget::Gpr { reg: 7 }, 15),
             Some(PruneVerdict::SilentResidue)
         );
     }
@@ -909,7 +847,7 @@ mod tests {
         );
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 2 }, 20),
+            oracle.decided(0, PruneTarget::Gpr { reg: 2 }, 20),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -928,7 +866,7 @@ mod tests {
             ],
         );
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
-        assert_eq!(oracle.verdict(0, PruneTarget::Gpr { reg: 2 }, 5), None);
+        assert_eq!(oracle.decided(0, PruneTarget::Gpr { reg: 2 }, 5), None);
         // A dispatch of a *clean* thread onto the tainted core kills
         // the core's taint instead.
         let tr2 = trace(
@@ -940,7 +878,7 @@ mod tests {
         );
         let oracle2 = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr2);
         assert_eq!(
-            oracle2.verdict(0, PruneTarget::Gpr { reg: 2 }, 5),
+            oracle2.decided(0, PruneTarget::Gpr { reg: 2 }, 5),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -967,7 +905,7 @@ mod tests {
         );
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 2 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 2 }, 5),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -990,13 +928,13 @@ mod tests {
         );
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 0 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 0 }, 5),
             Some(PruneVerdict::Vanished)
         );
         // The same shape with r1 (not covered by ctx writes) abstains.
         let text2 = vec![addi(0, 1), Inst::new(InstKind::Halt)];
         let oracle2 = PruneOracle::new(IsaKind::Sira64, &text2, BASE, &tr);
-        assert_eq!(oracle2.verdict(0, PruneTarget::Gpr { reg: 1 }, 5), None);
+        assert_eq!(oracle2.decided(0, PruneTarget::Gpr { reg: 1 }, 5), None);
     }
 
     #[test]
@@ -1005,13 +943,13 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira32, &text, BASE, &tr);
         // Any later fetch reads the flipped PC: abstain.
-        assert_eq!(oracle.verdict(0, PruneTarget::Pc, 5), None);
+        assert_eq!(oracle.decided(0, PruneTarget::Pc, 5), None);
         // A PC flip after the last commit is excluded from the exit
         // context hash: vanished.
         let tr2 = trace(vec![10], vec![commit(0, 0, 20, 0)]);
         let oracle2 = PruneOracle::new(IsaKind::Sira32, &text, BASE, &tr2);
         assert_eq!(
-            oracle2.verdict(0, PruneTarget::Pc, 20),
+            oracle2.decided(0, PruneTarget::Pc, 20),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -1026,7 +964,7 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(
+            oracle.decided(
                 0,
                 PruneTarget::Flags {
                     mask: FLAG_ALL_MASK
@@ -1104,10 +1042,10 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 5 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 5 }, 5),
             Some(PruneVerdict::SilentResidue)
         );
-        assert_eq!(oracle.verdict(0, PruneTarget::Gpr { reg: 0 }, 5), None);
+        assert_eq!(oracle.decided(0, PruneTarget::Gpr { reg: 0 }, 5), None);
     }
 
     #[test]
@@ -1121,7 +1059,7 @@ mod tests {
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
         assert_eq!(
-            oracle.verdict(0, PruneTarget::Gpr { reg: 0 }, 5),
+            oracle.decided(0, PruneTarget::Gpr { reg: 0 }, 5),
             Some(PruneVerdict::Vanished)
         );
     }
@@ -1134,6 +1072,6 @@ mod tests {
         ];
         let tr = trace(vec![10], vec![commit(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let oracle = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
-        assert_eq!(oracle.verdict(0, PruneTarget::Gpr { reg: 5 }, 5), None);
+        assert_eq!(oracle.decided(0, PruneTarget::Gpr { reg: 5 }, 5), None);
     }
 }

@@ -11,31 +11,29 @@
 //! predecode slot is consulted (and an illegal encoding traps) before
 //! the condition is evaluated.
 //!
-//! That observation yields a small verdict lattice, evaluated in order
-//! by `PruneOracle::text_outcome` (surfaced through
-//! [`PruneOracle::verdict`](crate::PruneOracle::verdict) and
+//! The oracle digests the trace against the image's text, and that is
+//! what every traced fetch read: `Machine::patch_text_word` refuses to
+//! change a word while tracing is on. That observation yields a small
+//! verdict lattice, evaluated in order by `PruneOracle::text_outcome`
+//! (surfaced through
 //! [`PruneOracle::fingerprint`](crate::PruneOracle::fingerprint)):
 //!
 //! 1. **Out of range** — `Machine::flip_text` ignores a word index past
 //!    the text section, so the "fault" is a no-op: Vanished, exactly.
-//! 2. **Self-patched** — the golden run overwrote this word
-//!    (`TraceKind::TextPatch`), so the digested image text is stale:
-//!    **Undecidable**, always abstain. This is the only residue of the
-//!    historical blanket `Unmodeled::Text` bucket.
-//! 3. **Decode-equivalent** — the corrupted word decodes (and
+//! 2. **Decode-equivalent** — the corrupted word decodes (and
 //!    ISA-validates) to the *identical* instruction: the flipped bits
 //!    are immaterial encoding bits (unused operand fields, ignored
 //!    register-field high bits), the re-lowered predecode slot is
 //!    identical, and no hash ever covers raw text words: Vanished,
 //!    exactly, at any cycle.
-//! 4. **Unapplied** — the injector's replay finishes before the flip
+//! 3. **Unapplied** — the injector's replay finishes before the flip
 //!    lands (same landing rule as register faults, timing core 0):
 //!    Vanished.
-//! 5. **Never fetched after landing** — no commit (executed or
+//! 4. **Never fetched after landing** — no commit (executed or
 //!    annulled, any core) at the word's PC at or after the landing op:
 //!    the corrupted word sits in instruction memory, unread and
 //!    unhashed, until exit: Vanished, exactly.
-//! 6. **Live** — the first fetch at or after the landing is op `f`.
+//! 5. **Live** — the first fetch at or after the landing is op `f`.
 //!    Two faults with the same `(word, mask)` and the same `f` produce
 //!    byte-identical records: between landing and `f` the faulty run
 //!    equals golden except for the (unobservable) corrupted word, so at
@@ -57,25 +55,10 @@
 //! recovered CFG. Verdicts never depend on it.
 
 use crate::cfg::Cfg;
+use crate::intervals::Fingerprint;
 use crate::prune::{Landing, Op, PruneOracle, PruneVerdict};
 use fracas_isa::{decode, Effects, Inst, IsaKind};
 use std::collections::HashMap;
-
-/// What the decode-differential layer concludes about one text fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TextOutcome {
-    /// Proven, exactly (see the module docs' lattice).
-    Decided(PruneVerdict),
-    /// Must run for real; `.0` is the op index of the first fetch of
-    /// the corrupted word at or after the landing — the equivalence-
-    /// class key (same `(word, mask)` + same first fetch ⇒ identical
-    /// record).
-    Live(usize),
-    /// The verdict basis is void: the golden run self-patched this word
-    /// (or, degenerately, the timing core was never traced). Callers
-    /// must execute the fault for real *and* must not class it.
-    Undecidable,
-}
 
 /// `decode` + ISA validation, exactly as `Machine::patch_text_word`
 /// re-lowers a corrupted word: `None` lowers to an illegal slot that
@@ -85,14 +68,6 @@ fn decoded(isa: IsaKind, word: u32) -> Option<Inst> {
 }
 
 impl PruneOracle {
-    /// Whether the golden run overwrote text word `word`
-    /// ([`fracas_cpu::TraceKind::TextPatch`]). Such words are outside
-    /// the decode-differential model: callers surface them as
-    /// `Unmodeled::Text` singletons instead of classing them.
-    pub fn text_patched(&self, word: u32) -> bool {
-        self.patched_words.contains(&word)
-    }
-
     /// Whether the golden trace ever fetched text word `word` (executed
     /// or annulled commit at its PC, any core).
     pub fn text_fetched(&self, word: u32) -> bool {
@@ -120,39 +95,35 @@ impl PruneOracle {
         index.get(&word).map_or(&[], Vec::as_slice)
     }
 
-    /// The decode-differential outcome of XORing `mask` into text word
-    /// `word` at `cycle` (timing core 0, like every text fault). See
-    /// the module docs for the verdict lattice and its exactness
-    /// argument.
-    pub(crate) fn text_outcome(&self, word: u32, mask: u32, cycle: u64) -> TextOutcome {
+    /// The decode-differential fingerprint of XORing `mask` into text
+    /// word `word` at `cycle` (timing core 0, like every text fault):
+    /// the verdict, or the op index of the first fetch of the corrupted
+    /// word at or after the landing as the live interval. `None` when
+    /// the trace never saw core 0. See the module docs for the verdict
+    /// lattice and its exactness argument.
+    pub(crate) fn text_outcome(&self, word: u32, mask: u32, cycle: u64) -> Option<Fingerprint> {
         let Some(&original) = self.words.get(word as usize) else {
             // `flip_text` ignores out-of-range indices: exact no-op.
-            return TextOutcome::Decided(PruneVerdict::Vanished);
+            return Some(Fingerprint::Decided(PruneVerdict::Vanished));
         };
-        if self.text_patched(word) {
-            // The run rewrites this word: `original` is not what the
-            // flip would strike, so every rule below is void.
-            return TextOutcome::Undecidable;
-        }
         if decoded(self.isa, original) == decoded(self.isa, original ^ mask) {
             // Immaterial encoding bits: the re-lowered predecode slot
             // is identical and raw text words are never hashed.
-            return TextOutcome::Decided(PruneVerdict::Vanished);
+            return Some(Fingerprint::Decided(PruneVerdict::Vanished));
         }
-        match self.landing(0, cycle) {
-            None => TextOutcome::Undecidable,
-            Some(Landing::Unapplied) => TextOutcome::Decided(PruneVerdict::Vanished),
-            Some(Landing::At(start)) => {
+        Some(match self.landing(0, cycle)? {
+            Landing::Unapplied => Fingerprint::Decided(PruneVerdict::Vanished),
+            Landing::At(start) => {
                 let fetches = self.fetches(word);
                 let i = fetches.partition_point(|&f| (f as usize) < start);
                 match fetches.get(i) {
                     // Never fetched once the flip is in place: the
                     // corruption is unread and unhashed until exit.
-                    None => TextOutcome::Decided(PruneVerdict::Vanished),
-                    Some(&f) => TextOutcome::Live(f as usize),
+                    None => Fingerprint::Decided(PruneVerdict::Vanished),
+                    Some(&interval) => Fingerprint::Live { interval },
                 }
             }
-        }
+        })
     }
 }
 
@@ -343,7 +314,6 @@ pub fn cfg_reachable_words(isa: IsaKind, text: &[Inst]) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::prune::PruneTarget;
-    use crate::Fingerprint;
     use fracas_cpu::{ExecTrace, TraceEvent, TraceKind};
     use fracas_isa::{AluOp, InstKind, Reg};
 
@@ -377,15 +347,6 @@ mod tests {
                 pc: BASE + 4 * idx,
                 skipped: true,
             },
-        }
-    }
-
-    fn patch(tick: u64, word: u32) -> TraceEvent {
-        TraceEvent {
-            core: 0,
-            tick,
-            cycle: 0,
-            kind: TraceKind::TextPatch { word },
         }
     }
 
@@ -428,8 +389,8 @@ mod tests {
         let o = oracle();
         for cycle in [0u64, 25, 45, 1_000_000] {
             assert_eq!(
-                o.text_outcome(2, 1 << 31, cycle),
-                TextOutcome::Decided(PruneVerdict::Vanished),
+                o.text_outcome(2, 1 << 31, cycle).unwrap(),
+                Fingerprint::Decided(PruneVerdict::Vanished),
                 "cycle {cycle}"
             );
         }
@@ -441,8 +402,8 @@ mod tests {
     fn out_of_range_word_is_an_exact_noop() {
         let o = oracle();
         assert_eq!(
-            o.text_outcome(99, 1, 5),
-            TextOutcome::Decided(PruneVerdict::Vanished)
+            o.text_outcome(99, 1, 5).unwrap(),
+            Fingerprint::Decided(PruneVerdict::Vanished)
         );
     }
 
@@ -452,13 +413,13 @@ mod tests {
         // corrupted word decodes to the identical instruction.
         let o = oracle();
         assert_eq!(
-            o.text_outcome(0, 1, 5),
-            TextOutcome::Decided(PruneVerdict::Vanished)
+            o.text_outcome(0, 1, 5).unwrap(),
+            Fingerprint::Decided(PruneVerdict::Vanished)
         );
         // A destination-register bit is material on the same word.
         assert!(matches!(
-            o.text_outcome(0, 1 << 16, 5),
-            TextOutcome::Live(_)
+            o.text_outcome(0, 1 << 16, 5).unwrap(),
+            Fingerprint::Live { .. }
         ));
     }
 
@@ -467,14 +428,20 @@ mod tests {
         let o = oracle();
         // Landing before the first fetch of word 0 (tick-0 commit):
         // first corrupted fetch is op 0.
-        assert_eq!(o.text_outcome(0, 1 << 16, 5), TextOutcome::Live(0));
+        assert_eq!(
+            o.text_outcome(0, 1 << 16, 5).unwrap(),
+            Fingerprint::Live { interval: 0 }
+        );
         // Landing between the two fetches of word 0: the tick-2 refetch
         // is the interaction point.
-        assert_eq!(o.text_outcome(0, 1 << 16, 25), TextOutcome::Live(2));
+        assert_eq!(
+            o.text_outcome(0, 1 << 16, 25).unwrap(),
+            Fingerprint::Live { interval: 2 }
+        );
         // Landing after the last fetch: never read again, vanishes.
         assert_eq!(
-            o.text_outcome(0, 1 << 16, 45),
-            TextOutcome::Decided(PruneVerdict::Vanished)
+            o.text_outcome(0, 1 << 16, 45).unwrap(),
+            Fingerprint::Decided(PruneVerdict::Vanished)
         );
     }
 
@@ -486,43 +453,9 @@ mod tests {
         let text = vec![addi(1, 2), Inst::new(InstKind::Halt)];
         let tr = trace(vec![10], vec![skip(0, 0, 20, 0), commit(0, 1, 30, 1)]);
         let o = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
-        assert_eq!(o.text_outcome(0, 1 << 30, 5), TextOutcome::Live(0));
-    }
-
-    #[test]
-    fn self_patched_words_are_undecidable_and_only_they() {
-        let text = vec![add_r(), addi(2, 1), addi(3, 3), Inst::new(InstKind::Halt)];
-        let tr = trace(
-            vec![10],
-            vec![
-                commit(0, 0, 20, 0),
-                patch(1, 1),
-                commit(0, 1, 30, 1),
-                commit(0, 2, 40, 3),
-            ],
-        );
-        let o = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
-        assert!(o.text_patched(1));
-        assert!(!o.text_patched(0));
-        // The patched word abstains unconditionally — even for a flip
-        // that would be decode-equivalent against the *image* text, and
-        // even past the end of the run.
-        assert_eq!(o.text_outcome(1, 1, 5), TextOutcome::Undecidable);
         assert_eq!(
-            o.text_outcome(1, 1 << 16, 1_000_000),
-            TextOutcome::Undecidable
-        );
-        // Unpatched words keep their verdicts, and the patch event
-        // occupies no op slot (op indices are unchanged).
-        assert_eq!(
-            o.text_outcome(2, 1 << 16, 5),
-            TextOutcome::Decided(PruneVerdict::Vanished)
-        );
-        assert_eq!(o.text_outcome(0, 1 << 16, 5), TextOutcome::Live(0));
-        // And the register walk is oblivious to the patch event.
-        assert_eq!(
-            o.verdict(0, PruneTarget::Gpr { reg: 9 }, 5),
-            Some(PruneVerdict::SilentResidue)
+            o.text_outcome(0, 1 << 30, 5).unwrap(),
+            Fingerprint::Live { interval: 0 }
         );
     }
 
@@ -532,13 +465,13 @@ mod tests {
         // Cycle 45 crosses at the tick-3 boundary which is not the end;
         // cycle 55 is beyond the last cycle: never lands.
         assert_eq!(
-            o.text_outcome(0, 1 << 16, 55),
-            TextOutcome::Decided(PruneVerdict::Vanished)
+            o.text_outcome(0, 1 << 16, 55).unwrap(),
+            Fingerprint::Decided(PruneVerdict::Vanished)
         );
     }
 
     #[test]
-    fn verdict_and_fingerprint_dispatch_text_targets() {
+    fn fingerprint_dispatches_text_targets() {
         let o = oracle();
         let hot = PruneTarget::Text {
             word: 0,
@@ -548,18 +481,15 @@ mod tests {
             word: 2,
             mask: 1 << 16,
         };
-        // Live → abstain; decided → verdict.
-        assert_eq!(o.verdict(0, hot, 5), None);
-        assert_eq!(o.verdict(0, cold, 5), Some(PruneVerdict::Vanished));
-        // Fingerprints: same first fetch ⇒ same Live key; different
-        // first fetch ⇒ different key; decided ⇒ Decided.
+        // Same first fetch ⇒ same Live key; different first fetch ⇒
+        // different key; decided ⇒ Decided.
         let a = o.fingerprint(0, hot, 5).unwrap();
         let b = o.fingerprint(0, hot, 8).unwrap();
         let c = o.fingerprint(0, hot, 25).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(matches!(a, Fingerprint::Live { interval: 0, .. }));
-        assert!(matches!(c, Fingerprint::Live { interval: 2, .. }));
+        assert_eq!(a, Fingerprint::Live { interval: 0 });
+        assert_eq!(c, Fingerprint::Live { interval: 2 });
         assert_eq!(
             o.fingerprint(0, cold, 5),
             Some(Fingerprint::Decided(PruneVerdict::Vanished))
@@ -567,16 +497,22 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_abstains_on_patched_words() {
-        let text = vec![addi(1, 2), Inst::new(InstKind::Halt)];
-        let tr = trace(
-            vec![10],
-            vec![commit(0, 0, 20, 0), patch(1, 0), commit(0, 1, 30, 1)],
+    fn untraced_timing_core_is_none() {
+        // No core was traced, so a text fault timed on core 0 has no
+        // landing: it is a singleton, unless the flip needs no landing
+        // at all.
+        let text = vec![add_r(), Inst::new(InstKind::Halt)];
+        let o = PruneOracle::new(IsaKind::Sira64, &text, BASE, &trace(vec![], vec![]));
+        let material = PruneTarget::Text {
+            word: 0,
+            mask: 1 << 16,
+        };
+        let immaterial = PruneTarget::Text { word: 0, mask: 1 };
+        assert_eq!(o.fingerprint(0, material, 5), None);
+        assert_eq!(
+            o.fingerprint(0, immaterial, 5),
+            Some(Fingerprint::Decided(PruneVerdict::Vanished))
         );
-        let o = PruneOracle::new(IsaKind::Sira64, &text, BASE, &tr);
-        let t = PruneTarget::Text { word: 0, mask: 1 };
-        assert_eq!(o.fingerprint(0, t, 5), None);
-        assert_eq!(o.verdict(0, t, 5), None);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! space is instruction-memory bits instead of registers, and the gate
 //! checks the decode-differential collapse (`--app EP --gate 0.6`).
 
-use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
-use fracas::mine::CollapseSummary;
+use fracas::inject::{
+    campaign_faults, class_plan, golden_trace, ClassStats, FaultSpace, Unmodeled, Workload,
+};
 use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
@@ -26,7 +27,24 @@ const USAGE: &str = "stats_classes [--isa sira32|sira64] [--model ser|omp|mpi] [
      [--cores N] [--faults N] [--seed N] [--text-faults] [--gate F]";
 
 const HEADER: &str =
-    "scenario                 flts   dec  live   mem  sing  fpr32 umem utxt  executed  collapse";
+    "scenario                 flts   dec  live   mem  sing  fpr32 umem  executed  collapse";
+
+/// One table row.
+fn row(label: &str, stats: &ClassStats) {
+    println!(
+        "{:<22} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>4} {:>8.1}% {:>8.1}x",
+        label,
+        stats.faults,
+        stats.decided,
+        stats.live_classes,
+        stats.members,
+        stats.singletons,
+        stats.unmodeled.count(Unmodeled::Sira32Fpr),
+        stats.unmodeled.count(Unmodeled::Mem),
+        stats.executed_fraction() * 100.0,
+        stats.collapse_factor()
+    );
+}
 
 #[allow(clippy::too_many_lines)]
 fn main() {
@@ -60,42 +78,16 @@ fn main() {
     );
     let start = Instant::now();
     println!("{HEADER}");
-    let mut total = CollapseSummary::default();
+    let mut total = ClassStats::default();
     for s in &scenarios {
         let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
         let (report, trace) = golden_trace(&workload);
         let sampled = campaign_faults(&workload, &config, report.cycles);
         let stats = class_plan(&workload, &trace, &sampled).stats();
-        println!(
-            "{:<22} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>4} {:>4} {:>8.1}% {:>8.1}x",
-            s.id(),
-            stats.faults,
-            stats.decided,
-            stats.live_classes,
-            stats.members,
-            stats.singletons,
-            stats.unmodeled.sira32_fpr,
-            stats.unmodeled.mem,
-            stats.unmodeled.text,
-            stats.executed_fraction() * 100.0,
-            stats.collapse_factor()
-        );
-        total.add(&stats);
+        row(&s.id(), &stats);
+        total.merge(&stats);
     }
-    println!(
-        "{:<22} {:>6} {:>5} {:>5} {:>5} {:>5} {:>6} {:>4} {:>4} {:>8.1}% {:>8.1}x",
-        "TOTAL",
-        total.stats.faults,
-        total.stats.decided,
-        total.stats.live_classes,
-        total.stats.members,
-        total.stats.singletons,
-        total.stats.unmodeled.sira32_fpr,
-        total.stats.unmodeled.mem,
-        total.stats.unmodeled.text,
-        total.executed_fraction() * 100.0,
-        total.collapse_factor()
-    );
+    row("TOTAL", &total);
     eprintln!("planned in {:.1}s", start.elapsed().as_secs_f64());
     if let Some(bar) = gate {
         let fraction = total.executed_fraction();
@@ -104,7 +96,7 @@ fn main() {
             "class-collapse gate failed: executed fraction {:.3} > {bar}",
             fraction
         );
-        let unmodeled = total.stats.unmodeled.breakdown();
+        let unmodeled = total.unmodeled.breakdown();
         println!(
             "gate ok: executed fraction {fraction:.3} <= {bar} (decided {:.3}{})",
             total.decided_fraction(),

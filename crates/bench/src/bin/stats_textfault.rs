@@ -26,8 +26,7 @@
 //!   flow and aborts the report.
 
 use fracas::analyze::{analyze_text, cfg_reachable_words, FlipClass, PruneOracle};
-use fracas::inject::{campaign_faults, class_plan, golden_trace, FaultSpace, Workload};
-use fracas::mine::CollapseSummary;
+use fracas::inject::{campaign_faults, class_plan, golden_trace, ClassStats, FaultSpace, Workload};
 use fracas::npb::App;
 use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
@@ -77,8 +76,8 @@ fn main() {
         "ill%",
         "fetch%"
     );
-    let mut text_total = CollapseSummary::default();
-    let mut reg_total = CollapseSummary::default();
+    let mut text_total = ClassStats::default();
+    let mut reg_total = ClassStats::default();
     for s in &scenarios {
         let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
         let image = &workload.image;
@@ -125,25 +124,24 @@ fn main() {
             composition.fraction(FlipClass::Illegal) * 100.0,
             fetched_pct,
         );
-        text_total.add(&text_stats);
-        reg_total.add(&reg_stats);
+        text_total.merge(&text_stats);
+        reg_total.merge(&reg_stats);
     }
     println!(
         "{:<22} {:>6} | {:>5} {:>5} {:>6.1}% {:>5.1}x | {:>6.1}% {:>5.1}x |",
         "TOTAL",
         "",
-        text_total.stats.faults,
-        text_total.stats.decided,
+        text_total.faults,
+        text_total.decided,
         text_total.executed_fraction() * 100.0,
         text_total.collapse_factor(),
         reg_total.executed_fraction() * 100.0,
         reg_total.collapse_factor(),
     );
     println!(
-        "text: {:.1}% statically decided, {} unmodeled (self-patched) of {} sampled",
+        "text: {:.1}% statically decided of {} sampled",
         text_total.decided_fraction() * 100.0,
-        text_total.stats.unmodeled.text,
-        text_total.stats.faults,
+        text_total.faults,
     );
     eprintln!("planned in {:.1}s", start.elapsed().as_secs_f64());
 }

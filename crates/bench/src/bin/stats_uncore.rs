@@ -33,8 +33,11 @@
 //!   sample resolution).
 
 use fracas::analyze::{analyze_skips, skip_class, PruneOracle, SkipClass, SkipComposition};
-use fracas::inject::{run_campaign, FaultSpace, FaultTarget, Outcome, Tally, Unmodeled, Workload};
-use fracas::mine::{labeled_outcome_table, CollapseSummary};
+use fracas::inject::{
+    domain_named, run_campaign, ClassStats, FaultSpace, FaultTarget, Outcome, PruneCap, Tally,
+    Unmodeled, Workload,
+};
+use fracas::mine::labeled_outcome_table;
 use fracas::npb::App;
 use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
@@ -67,16 +70,13 @@ const EXPECTED_QUIET: [(&str, &str); 2] = [
     ),
 ];
 
-/// The [`Unmodeled`] bucket a domain's own applied faults land in;
-/// anything else is a foreign-bucket accounting violation.
+/// The [`Unmodeled`] bucket a domain's own applied faults land in, as
+/// its registry entry declares it; anything else is a foreign-bucket
+/// accounting violation.
 fn own_bucket(name: &str) -> Unmodeled {
-    match name {
-        "cache" => Unmodeled::Cache,
-        "kernelctl" => Unmodeled::KernelCtl,
-        "skip" => Unmodeled::Skip,
-        "storebuf" => Unmodeled::StoreBuf,
-        "cachedata" => Unmodeled::CacheData,
-        other => unreachable!("{other} is not an uncore domain"),
+    match domain_named(name).map(|d| &d.prune) {
+        Some(PruneCap::StaticOnly(reason)) => *reason,
+        _ => unreachable!("{name} is not a static-only domain"),
     }
 }
 
@@ -128,7 +128,7 @@ fn main() {
     let mut measured_skips = SkipComposition::default();
     let mut masked_skips = SkipComposition::default();
     let mut unapplied_skips: u64 = 0;
-    let mut summary = CollapseSummary::default();
+    let mut summary = ClassStats::default();
     let mut violations: Vec<String> = Vec::new();
     for s in &scenarios {
         let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
@@ -150,7 +150,7 @@ fn main() {
             config.space = FaultSpace::only(name);
             let result = run_campaign(&workload, &config);
             let stats = result.classes.expect("class-pruned campaign carries stats");
-            summary.add(&stats);
+            summary.merge(&stats);
             // Accounting gate: decided + explicitly-bucketed must cover
             // the whole sample, with nothing in a foreign bucket.
             if u64::from(stats.decided + stats.unmodeled.total()) != result.tally.total() {
@@ -260,10 +260,10 @@ fn main() {
         measured_skips.total(),
         unapplied_skips,
         summary.decided_fraction() * 100.0,
-        if summary.stats.unmodeled.total() == 0 {
+        if summary.unmodeled.total() == 0 {
             "empty".to_string()
         } else {
-            summary.stats.unmodeled.breakdown()
+            summary.unmodeled.breakdown()
         },
     );
     eprintln!("measured in {:.1}s", start.elapsed().as_secs_f64());

@@ -626,20 +626,22 @@ impl Machine {
     /// ignored. The decoded table is copy-on-write, so a patch never
     /// disturbs snapshots sharing the pre-patch table.
     ///
-    /// If golden-run tracing is on, the patch is recorded as a
-    /// [`TraceKind::TextPatch`] event so the static text-fault analysis
-    /// in `fracas-analyze` can refuse to decide faults on self-patched
-    /// words (its digested text no longer matches what execution
-    /// fetched). Injection replays run untraced, so applying a text
-    /// fault never records anything.
+    /// # Panics
+    ///
+    /// Panics while golden-run tracing is on. The static text-fault
+    /// analysis in `fracas-analyze` digests a trace against the image's
+    /// text, so a traced run must never change a word. Text faults are
+    /// applied only to untraced kernels (booted or restored), so no
+    /// campaign reaches this.
     pub fn patch_text_word(&mut self, word_index: u32, word: u32) {
+        assert!(
+            self.trace.is_none(),
+            "text word {word_index} patched while tracing is on"
+        );
         let Some(slot) = self.text_words.get_mut(word_index as usize) else {
             return;
         };
         *slot = word;
-        if let Some(t) = &mut self.trace {
-            t.push(0, TraceKind::TextPatch { word: word_index });
-        }
         let isa = self.isa;
         let pc = self.text_base.wrapping_add(word_index.wrapping_mul(4));
         let inst = fracas_isa::decode(word)
@@ -2417,26 +2419,12 @@ mod text_fault_tests {
     }
 
     #[test]
-    fn patching_text_while_traced_records_the_word() {
+    #[should_panic(expected = "patched while tracing is on")]
+    fn patching_text_while_traced_panics() {
         let image = nop_image();
         let mut m = Machine::boot_flat(&image, 1);
         m.enable_trace();
-        m.flip_text(1, 30);
         m.patch_text_word(2, 0xdead_beef);
-        m.trace_tick_end();
-        let trace = m.take_trace().expect("tracing was on");
-        let patched: Vec<u32> = trace
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::TextPatch { word } => Some(word),
-                _ => None,
-            })
-            .collect();
-        // Both the bit flip and the whole-word overwrite route through
-        // `patch_text_word`, so both words are reported to the static
-        // text-fault analysis.
-        assert_eq!(patched, vec![1, 2]);
     }
 
     #[test]
@@ -2444,9 +2432,9 @@ mod text_fault_tests {
         let image = nop_image();
         let mut m = Machine::boot_flat(&image, 1);
         m.enable_trace();
-        m.patch_text_word(1, 0xdead_beef);
+        m.trace_ctx_write(1);
         m.trace_tick_end();
-        m.patch_text_word(2, 0xdead_beef);
+        m.trace_ctx_write(2);
         let trace = m.trace_mut().expect("tracing is on");
         let closed: Vec<u64> = trace.drain_closed().map(|e| e.tick).collect();
         assert_eq!(closed, vec![0]);
@@ -2455,7 +2443,7 @@ mod text_fault_tests {
         let rest = m.take_trace().expect("tracing was on");
         assert_eq!(rest.events.len(), 1);
         assert_eq!(rest.events[0].tick, 1);
-        assert_eq!(rest.events[0].kind, TraceKind::TextPatch { word: 2 });
+        assert_eq!(rest.events[0].kind, TraceKind::CtxWrite { tid: 2 });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! what lets a campaign trace the golden run once and keep every
 //! checkpoint bit-identical to an untraced campaign.
 //!
-//! The stream records five kinds of events:
+//! The stream records four kinds of events:
 //!
 //! * a **commit** — one instruction retired (including conditionally
 //!   *skipped* instructions, which retire reading only their condition
@@ -19,11 +19,13 @@
 //! * a **save** — the kernel copied a core's context into a thread's
 //!   saved context;
 //! * a **context write** — the kernel stored a syscall completion value
-//!   into a *blocked* thread's saved `r0`;
-//! * a **text patch** — an instruction word was overwritten mid-run
-//!   ([`Machine::patch_text_word`](crate::Machine::patch_text_word)):
-//!   the digested golden text no longer describes that word, so static
-//!   text-fault verdicts for it are void.
+//!   into a *blocked* thread's saved `r0`.
+//!
+//! Text never changes under a traced run: the only writer of
+//! instruction words,
+//! [`Machine::patch_text_word`](crate::Machine::patch_text_word),
+//! panics while tracing is on, so the text a trace was recorded against
+//! is the image's text, word for word.
 //!
 //! Every event carries the kernel tick it happened in and the acting
 //! core's local cycle clock at the *end* of that tick. End-of-tick
@@ -66,15 +68,6 @@ pub enum TraceKind {
     CtxWrite {
         /// Thread whose saved `r0` was overwritten.
         tid: u32,
-    },
-    /// Instruction word `word` was overwritten while tracing was on
-    /// (self-patching text). Like [`TraceKind::CtxWrite`] the event has
-    /// no meaningful core; consumers key it by tick order. A golden run
-    /// of the bundled workloads never patches text, so this event only
-    /// appears in traces of runs that explicitly self-modify.
-    TextPatch {
-        /// Text-word index that was overwritten.
-        word: u32,
     },
 }
 

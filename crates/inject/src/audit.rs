@@ -56,8 +56,11 @@ impl AuditEntry {
     }
 }
 
-/// The per-workload audit report: every audited entry, index-sorted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The per-workload audit report: every audited entry of the kept
+/// prefix, index-sorted. Faults outside the oracle's model always
+/// execute, so nothing about them is auditable; the class statistics
+/// ([`crate::ClassStats::unmodeled`]) count them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleAuditReport {
     /// Workload id the report covers.
     pub id: String,
@@ -65,20 +68,6 @@ pub struct OracleAuditReport {
     pub rate: f64,
     /// Audited entries in fault-index order.
     pub entries: Vec<AuditEntry>,
-    /// Faults whose targets the prune oracle does not model at all
-    /// (SIRA-32 FPRs, memory, self-patched text — see
-    /// `fracas_inject::Unmodeled`): they always execute for real, so
-    /// nothing is auditable about them, but the report says how many
-    /// fell outside the model instead of letting them vanish into the
-    /// abstain path. Absent from pre-bucket reports, hence the serde
-    /// default.
-    #[serde(default)]
-    pub unmodeled: u32,
-    /// Per-reason breakdown of `unmodeled` (sira32-fpr / mem / text).
-    /// Absent from reports written before the buckets existed, hence
-    /// the serde default.
-    #[serde(default)]
-    pub buckets: crate::UnmodeledCounts,
 }
 
 impl OracleAuditReport {
@@ -93,24 +82,16 @@ impl OracleAuditReport {
         self.mismatches().count()
     }
 
-    /// One-line human summary
-    /// (`<id>: N audited, M mismatch(es), U unmodeled (breakdown)`).
-    /// The `audited, M mismatch` prefix is load-bearing: CI greps for
-    /// it. The parenthesized per-reason breakdown appears only when the
-    /// buckets are nonzero, keeping legacy reports' summaries stable.
+    /// One-line human summary (`<id>: N audited, M mismatch(es)`). The
+    /// `audited, M mismatch` text is load-bearing: CI greps for it.
     #[must_use]
     pub fn summary(&self) -> String {
-        let mut line = format!(
-            "{}: {} audited, {} mismatch(es), {} unmodeled",
+        format!(
+            "{}: {} audited, {} mismatch(es)",
             self.id,
             self.entries.len(),
             self.mismatch_count(),
-            self.unmodeled,
-        );
-        if self.buckets.total() > 0 {
-            line.push_str(&format!(" ({})", self.buckets.breakdown()));
-        }
-        line
+        )
     }
 }
 
@@ -197,26 +178,8 @@ mod tests {
                     executed: Outcome::Vanished,
                 },
             ],
-            unmodeled: 4,
-            buckets: crate::UnmodeledCounts::default(),
         };
         assert_eq!(report.mismatch_count(), 1);
-        // Zero buckets (legacy reports deserialized without the field)
-        // keep the historical summary byte for byte.
-        assert_eq!(
-            report.summary(),
-            "x: 2 audited, 1 mismatch(es), 4 unmodeled"
-        );
-        // Populated buckets append the per-reason breakdown after the
-        // CI-grepped prefix.
-        let mut bucketed = report.clone();
-        bucketed.buckets.record(crate::Unmodeled::Mem);
-        bucketed.buckets.record(crate::Unmodeled::Mem);
-        bucketed.buckets.record(crate::Unmodeled::Sira32Fpr);
-        bucketed.buckets.record(crate::Unmodeled::Text);
-        assert_eq!(
-            bucketed.summary(),
-            "x: 2 audited, 1 mismatch(es), 4 unmodeled (1 sira32-fpr + 2 mem + 1 text)"
-        );
+        assert_eq!(report.summary(), "x: 2 audited, 1 mismatch(es)");
     }
 }

@@ -270,9 +270,11 @@ pub struct InjectionRecord {
     pub instructions: u64,
     /// Index of the class representative this record was synthesized
     /// from ([`CampaignConfig::prune_classes`]); `None` for executed
-    /// and verdict-synthesized records. A run-time marker for weighted
-    /// tallies, deliberately *not* serialized: class synthesis is
-    /// exact, so databases stay byte-identical with the mode on or off.
+    /// and verdict-synthesized records. A run-time marker that tells a
+    /// member from an execution when records are compared field for
+    /// field (a resumed member gets it back from the plan), deliberately
+    /// *not* serialized: class synthesis is exact, so databases stay
+    /// byte-identical with the mode on or off.
     #[serde(skip)]
     pub rep: Option<u32>,
 }
@@ -303,9 +305,7 @@ impl Tally {
         self.record_weighted(outcome, 1);
     }
 
-    /// Adds one outcome with a class weight (a representative standing
-    /// for `weight` equivalent faults — see
-    /// [`crate::classes::weighted_tally`]).
+    /// Adds `weight` occurrences of one outcome (for folding tallies).
     pub fn record_weighted(&mut self, outcome: Outcome, weight: u64) {
         match outcome {
             Outcome::Vanished => self.vanished += weight,

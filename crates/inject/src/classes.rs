@@ -34,7 +34,7 @@
 //! a late-landed representative as a claim and checks it against a run
 //! from before its own landing.
 
-use crate::campaign::{InjectionRecord, Tally, Workload};
+use crate::campaign::{InjectionRecord, Workload};
 use crate::prune::{prune_decision, Decision, Unmodeled, UnmodeledCounts};
 use crate::{Fault, FaultTarget, Outcome};
 use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
@@ -78,6 +78,17 @@ pub struct ClassStats {
 }
 
 impl ClassStats {
+    /// Folds another plan's statistics into these, field by field (the
+    /// one accumulation point for reports that sum many campaigns).
+    pub fn merge(&mut self, other: &ClassStats) {
+        self.faults += other.faults;
+        self.decided += other.decided;
+        self.live_classes += other.live_classes;
+        self.members += other.members;
+        self.singletons += other.singletons;
+        self.unmodeled.merge(&other.unmodeled);
+    }
+
     /// Faults the campaign actually executes: one per live class plus
     /// every singleton.
     pub fn executed(&self) -> u32 {
@@ -91,6 +102,16 @@ impl ClassStats {
             0.0
         } else {
             f64::from(self.executed()) / f64::from(self.faults)
+        }
+    }
+
+    /// Statically decided share of the fault list in `[0, 1]` (0 for an
+    /// empty plan).
+    pub fn decided_fraction(&self) -> f64 {
+        if self.faults == 0 {
+            0.0
+        } else {
+            f64::from(self.decided) / f64::from(self.faults)
         }
     }
 
@@ -216,8 +237,7 @@ pub(crate) fn class_plan_with(
     let mut classes: Vec<FaultClass> = Vec::with_capacity(faults.len());
     // The full fault coordinates ride alongside the fingerprint in the
     // key: the exactness theorem quantifies over one (core, target,
-    // bit, width), so a context-hash collision between different
-    // coordinates must never merge their classes.
+    // bit, width), and an interval id names an op, not a register.
     let mut first: HashMap<(usize, PruneTarget, u32, u32, Fingerprint), u32> = HashMap::new();
     for (i, fault) in faults.iter().enumerate() {
         let (core, target) = match prune_decision(oracle, image.isa, fault) {
@@ -230,9 +250,8 @@ pub(crate) fn class_plan_with(
                 continue;
             }
             Decision::Unmodeled(reason) => {
-                // Outside the model (including self-patched text words):
-                // must execute alone — classing such a fault could merge
-                // genuinely different outcomes.
+                // Outside the model: must execute alone — classing such
+                // a fault could merge genuinely different outcomes.
                 classes.push(FaultClass::Singleton(Some(reason)));
                 continue;
             }
@@ -283,71 +302,9 @@ pub(crate) fn member_record(rep: &InjectionRecord, fault: &Fault, index: usize) 
     }
 }
 
-/// The outcome tally computed from *executed* records only, each
-/// representative weighted by its class size (members' synthesized
-/// records are never consulted — their in-memory
-/// [`InjectionRecord::rep`] marker routes their weight to the
-/// representative instead). Equal to the plain tally over all records
-/// exactly when class synthesis is exact, which is what the
-/// differential suite asserts.
-pub fn weighted_tally(records: &[InjectionRecord]) -> Tally {
-    let mut extra: HashMap<u32, u64> = HashMap::new();
-    for r in records {
-        if let Some(rep) = r.rep {
-            *extra.entry(rep).or_default() += 1;
-        }
-    }
-    let mut tally = Tally::default();
-    for r in records {
-        if r.rep.is_none() {
-            tally.record_weighted(r.outcome, 1 + extra.get(&r.index).copied().unwrap_or(0));
-        }
-    }
-    tally
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn record(index: u32, outcome: Outcome, rep: Option<u32>) -> InjectionRecord {
-        InjectionRecord {
-            index,
-            fault: Fault {
-                target: FaultTarget::Gpr {
-                    core: 0,
-                    reg: 1,
-                    bit: 0,
-                },
-                cycle: 10,
-                width: 1,
-            },
-            outcome,
-            cycles: 1,
-            instructions: 1,
-            rep,
-        }
-    }
-
-    #[test]
-    fn weighted_tally_routes_member_weight_to_representatives() {
-        let records = vec![
-            record(0, Outcome::Ut, None),
-            record(1, Outcome::Ut, Some(0)),
-            record(2, Outcome::Ut, Some(0)),
-            record(3, Outcome::Vanished, None),
-        ];
-        let t = weighted_tally(&records);
-        assert_eq!(t.ut, 3);
-        assert_eq!(t.vanished, 1);
-        assert_eq!(t.total(), 4);
-        // And it agrees with the plain tally over the same records.
-        let mut plain = Tally::default();
-        for r in &records {
-            plain.record(r.outcome);
-        }
-        assert_eq!(t, plain);
-    }
 
     #[test]
     fn stats_arithmetic() {
@@ -361,6 +318,41 @@ mod tests {
         };
         assert_eq!(stats.executed(), 3);
         assert!((stats.executed_fraction() - 0.3).abs() < 1e-12);
+        assert!((stats.decided_fraction() - 0.5).abs() < 1e-12);
         assert!((stats.collapse_factor() - 10.0 / 3.0).abs() < 1e-12);
+        let empty = ClassStats::default();
+        assert_eq!(empty.decided_fraction(), 0.0);
+        assert_eq!(empty.executed_fraction(), 0.0);
+        let mut twice = stats;
+        twice.merge(&stats);
+        assert_eq!(twice.faults, 20);
+        assert_eq!(twice.executed(), 6);
+        assert_eq!(twice.decided_fraction(), stats.decided_fraction());
+    }
+
+    #[test]
+    fn merge_keeps_every_unmodeled_bucket() {
+        // Regression: the fold must carry every bucket, not a
+        // hand-summed subset — a field list once silently dropped the
+        // uncore buckets.
+        let mut unmodeled = UnmodeledCounts::default();
+        for reason in Unmodeled::ALL {
+            unmodeled.record(reason);
+        }
+        let buckets = Unmodeled::ALL.len() as u32;
+        let stats = ClassStats {
+            faults: buckets,
+            singletons: buckets,
+            unmodeled,
+            ..ClassStats::default()
+        };
+        let mut sum = ClassStats::default();
+        sum.merge(&stats);
+        sum.merge(&stats);
+        for reason in Unmodeled::ALL {
+            assert_eq!(sum.unmodeled.count(reason), 2, "{}", reason.name());
+        }
+        assert_eq!(sum.unmodeled.total(), 2 * buckets);
+        assert_eq!(sum.singletons, 2 * buckets);
     }
 }

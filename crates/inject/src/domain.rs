@@ -7,7 +7,7 @@
 //! lands on a paused [`Kernel`], which core's clock times it, whether
 //! the struck state is short-lived enough to probe for golden
 //! reconvergence, what the adjacent-bit (MBU) wrap modulus is, and what
-//! the prune oracle can say about it. `sample_faults*`, `Fault::apply`,
+//! the prune oracle can say about it. `sample_space`, `Fault::apply`,
 //! `Fault::timing_core`, `prune_target`, the class planner and the
 //! sweep's `--*-faults` flags are all thin projections of this table —
 //! adding a fault model is one registry entry plus its flip hooks,
@@ -136,9 +136,9 @@ pub struct SpaceDims {
 }
 
 impl SpaceDims {
-    /// Dimensions with every uncore array empty — the legacy
-    /// `sample_faults*` view, where only registers, memory and text
-    /// exist. Uncore domains contribute zero bits even if enabled.
+    /// Dimensions with every uncore array empty — the
+    /// [`crate::sample_faults`] view, where only registers, memory and
+    /// text exist. Uncore domains contribute zero bits even if enabled.
     pub fn bare(isa: IsaKind, cores: u32, space: FaultSpace, text_words: u32) -> SpaceDims {
         SpaceDims {
             isa,

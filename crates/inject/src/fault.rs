@@ -253,27 +253,18 @@ impl FaultSpace {
     }
 
     /// Total injectable bits for an ISA on `cores` cores, *excluding*
-    /// instruction memory (whose size depends on the workload, not the
-    /// processor model — see [`FaultSpace::total_bits_with_text`]).
+    /// instruction memory and the uncore domains, whose sizes depend on
+    /// the workload, not the processor model (a campaign records the
+    /// full [`SpaceDims::total_bits`]).
     pub fn total_bits(&self, isa: IsaKind, cores: u32) -> u64 {
         SpaceDims::bare(isa, cores, *self, 0).total_bits()
-    }
-
-    /// Total injectable bits including the workload's instruction memory
-    /// when [`FaultSpace::text`] is enabled — the exact space
-    /// [`crate::sample_faults_with_text`] draws from. (Campaign
-    /// reporting records the full [`SpaceDims::total_bits`], which also
-    /// counts the uncore domains.)
-    pub fn total_bits_with_text(&self, isa: IsaKind, cores: u32, text_words: u32) -> u64 {
-        SpaceDims::bare(isa, cores, *self, text_words).total_bits()
     }
 }
 
 /// Samples `count` uniform faults over the space and the app lifespan
 /// `[0, lifespan_cycles)` (phase two of the workflow). Deterministic in
-/// `seed`. Instruction-memory faults require the word count and use
-/// [`sample_faults_with_text`]; uncore domains require the full
-/// [`SpaceDims`] and use [`sample_space`].
+/// `seed`. Instruction-memory and uncore domains require the workload's
+/// full [`SpaceDims`] and use [`sample_space`].
 pub fn sample_faults(
     isa: IsaKind,
     cores: u32,
@@ -282,24 +273,8 @@ pub fn sample_faults(
     space: &FaultSpace,
     seed: u64,
 ) -> Vec<Fault> {
-    sample_faults_with_text(isa, cores, lifespan_cycles, count, space, seed, 0)
-}
-
-/// [`sample_faults`] extended with the text-section size, so the
-/// uniform space can include instruction-memory bits when
-/// [`FaultSpace::text`] is set.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_faults_with_text(
-    isa: IsaKind,
-    cores: u32,
-    lifespan_cycles: u64,
-    count: usize,
-    space: &FaultSpace,
-    seed: u64,
-    text_words: u32,
-) -> Vec<Fault> {
     sample_space(
-        &SpaceDims::bare(isa, cores, *space, text_words),
+        &SpaceDims::bare(isa, cores, *space, 0),
         lifespan_cycles,
         count,
         seed,
@@ -387,13 +362,13 @@ mod tests {
             ..FaultSpace::default()
         };
         assert_eq!(
-            with_text.total_bits_with_text(IsaKind::Sira64, 2, 100),
+            SpaceDims::bare(IsaKind::Sira64, 2, with_text, 100).total_bits(),
             with_text.total_bits(IsaKind::Sira64, 2) + 100 * 32
         );
         // With text faults disabled the word count is irrelevant.
         let space = FaultSpace::default();
         assert_eq!(
-            space.total_bits_with_text(IsaKind::Sira64, 2, 100),
+            SpaceDims::bare(IsaKind::Sira64, 2, space, 100).total_bits(),
             space.total_bits(IsaKind::Sira64, 2)
         );
     }

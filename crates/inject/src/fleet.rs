@@ -271,9 +271,9 @@ struct GoldenJob {
     checkpoints: Arc<CheckpointSet>,
     faults: Vec<Fault>,
     limits: Limits,
-    /// What pruning decided about the fault list — the decided table,
-    /// the equivalence classes and the unmodeled-target accounting
-    /// ([`CampaignConfig::prune_classes`]); `None` when pruning is off.
+    /// What pruning decided about the fault list — the decided table
+    /// and the equivalence classes ([`CampaignConfig::prune_classes`]);
+    /// `None` when pruning is off.
     plan: Option<ClassPlan>,
     /// One write-once slot per fault index holding the executed record
     /// of a class representative ([`CampaignConfig::prune_classes`]):
@@ -351,9 +351,14 @@ impl WorkloadState<'_> {
 /// committed record. Because the prefix is consumed strictly in index
 /// order, the first index satisfying the predicate — and therefore the
 /// entire early-stopped record set — is independent of thread count,
-/// batch size and resume boundaries.
+/// batch size and resume boundaries. The prefix never passes the stop
+/// index: records that in-flight batches finish beyond it are not kept,
+/// so they are not counted either.
 fn advance_commit(slots: &mut Slots, config: &FleetConfig, stop_at: &AtomicUsize) {
-    while let Some(Some(record)) = slots.records.get(slots.committed) {
+    while slots.committed < stop_at.load(Ordering::Relaxed) {
+        let Some(Some(record)) = slots.records.get(slots.committed) else {
+            break;
+        };
         slots.prefix.record(record.outcome);
         slots.committed += 1;
         if config.epsilon > 0.0
@@ -757,19 +762,10 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
     // Likewise the report covers only the kept prefix, so an
     // early-stopped campaign's report matches across resumes even when
     // workers audited past the stop point before it was set.
-    let audit = config.campaign.audits().then(|| {
-        let unmodeled = golden
-            .plan
-            .as_ref()
-            .map(|plan| plan.stats().unmodeled)
-            .unwrap_or_default();
-        OracleAuditReport {
-            id: state.workload.id.clone(),
-            rate: config.campaign.oracle_audit,
-            entries: slots.audits.iter().take(keep).flatten().copied().collect(),
-            unmodeled: unmodeled.total(),
-            buckets: unmodeled,
-        }
+    let audit = config.campaign.audits().then(|| OracleAuditReport {
+        id: state.workload.id.clone(),
+        rate: config.campaign.oracle_audit,
+        entries: slots.audits.iter().take(keep).flatten().copied().collect(),
     });
     let mut tally = Tally::default();
     for r in &records {
@@ -938,7 +934,17 @@ mod tests {
         slots.records[0] = Some(record(0));
         slots.records[1] = Some(record(1));
         advance_commit(&mut slots, &config, &stop_at);
-        assert_eq!(slots.committed, 4);
+        // Record 3 was already in, but the prefix stops at the stop
+        // index: the progress count and tally never pass the records
+        // the database keeps.
+        assert_eq!(slots.committed, 3);
+        assert_eq!(slots.prefix.total(), 3);
         assert_eq!(stop_at.load(Ordering::Relaxed), 3);
+        // A record an in-flight batch finishes after the stop moves
+        // nothing either.
+        slots.records.push(Some(record(4)));
+        advance_commit(&mut slots, &config, &stop_at);
+        assert_eq!(slots.committed, 3);
+        assert_eq!(slots.prefix.total(), 3);
     }
 }

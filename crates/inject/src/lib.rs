@@ -72,14 +72,12 @@ pub use campaign::{
     ProfileStats, Tally, Workload,
 };
 pub use checkpoint::CheckpointSet;
-pub use classes::{class_plan, weighted_tally, ClassPlan, ClassStats};
+pub use classes::{class_plan, ClassPlan, ClassStats};
 pub use classify::{classify, Outcome};
 pub use domain::{
     domain_named, domain_of, domains, Domain, OracleMap, Placement, PruneCap, SpaceDims,
 };
-pub use fault::{
-    sample_faults, sample_faults_with_text, sample_space, Fault, FaultSpace, FaultTarget,
-};
+pub use fault::{sample_faults, sample_space, Fault, FaultSpace, FaultTarget};
 pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };

@@ -16,8 +16,7 @@
 //! outlive register lifetimes and the trace carries no addresses) run
 //! through the ordinary checkpoint-ladder injector. Text faults are
 //! decided by the oracle's decode-differential layer
-//! (`fracas_analyze::textfault`); only words the golden run
-//! itself overwrites remain outside the model.
+//! (`fracas_analyze::textfault`).
 //!
 //! What each fault domain lets the oracle decide is declared in its
 //! registry entry ([`crate::domain::Domain::prune`]); this module
@@ -48,13 +47,6 @@ pub enum Unmodeled {
     /// A data-memory bit: memory lifetimes outlive register lifetimes
     /// and the trace does not carry addresses.
     Mem,
-    /// A text bit of a word the golden run itself overwrote
-    /// (self-patching code): the digested image text is stale for that
-    /// word, so the decode-differential layer abstains unconditionally.
-    /// Every *other* text bit is fully modeled since PR 8; the bundled
-    /// workloads never self-patch, so this bucket is empty for every
-    /// real campaign.
-    Text,
     /// A cache metadata bit: whether a corrupted tag/state/LRU word ever
     /// surfaces depends on the access stream and coherence traffic,
     /// which the register-interval trace does not carry.
@@ -78,13 +70,10 @@ pub enum Unmodeled {
 }
 
 impl Unmodeled {
-    /// Every reason, declaration order (for exhaustive accounting
-    /// loops — [`UnmodeledCounts::merge`] folds over this so a newly
-    /// added bucket cannot be silently dropped from aggregates).
-    pub const ALL: [Unmodeled; 8] = [
+    /// Every reason, in declaration order.
+    pub const ALL: [Unmodeled; 7] = [
         Unmodeled::Sira32Fpr,
         Unmodeled::Mem,
-        Unmodeled::Text,
         Unmodeled::Cache,
         Unmodeled::KernelCtl,
         Unmodeled::Skip,
@@ -97,7 +86,6 @@ impl Unmodeled {
         match self {
             Unmodeled::Sira32Fpr => "sira32-fpr",
             Unmodeled::Mem => "mem",
-            Unmodeled::Text => "text",
             Unmodeled::Cache => "cache",
             Unmodeled::KernelCtl => "kernelctl",
             Unmodeled::Skip => "skip",
@@ -136,25 +124,13 @@ pub(crate) enum Decision {
 }
 
 /// Decides how one fault prunes, from its domain's registry capability:
-/// oracle-mapped domains project through their coordinate map (with the
-/// self-patched-text escape folded in), static-only domains prune the
-/// provably-unapplied case via [`PruneOracle::applied`], and unmodeled
-/// domains always run for real.
+/// oracle-mapped domains project through their coordinate map,
+/// static-only domains prune the provably-unapplied case via
+/// [`PruneOracle::applied`], and unmodeled domains always run for real.
 pub(crate) fn prune_decision(oracle: &PruneOracle, isa: IsaKind, fault: &Fault) -> Decision {
     match domain_of(&fault.target).prune {
         PruneCap::Oracle(map) => match map(isa, fault) {
-            Ok((core, target)) => {
-                if let PruneTarget::Text { word, .. } = target {
-                    if oracle.text_patched(word) {
-                        // Self-patched word: the one text case the
-                        // decode-differential layer cannot model. Runs
-                        // for real, counted separately from oracle
-                        // abstentions.
-                        return Decision::Unmodeled(Unmodeled::Text);
-                    }
-                }
-                Decision::Oracle(core, target)
-            }
+            Ok((core, target)) => Decision::Oracle(core, target),
             Err(reason) => Decision::Unmodeled(reason),
         },
         PruneCap::StaticOnly(reason) => {
@@ -170,90 +146,34 @@ pub(crate) fn prune_decision(oracle: &PruneOracle, isa: IsaKind, fault: &Fault) 
     }
 }
 
-/// Per-campaign tallies of faults outside the oracle's model, keyed by
-/// [`Unmodeled`] reason. Surfaced by the audit report and the stats
-/// bins so "ran for real" and "could not even be considered" stay
-/// distinguishable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct UnmodeledCounts {
-    /// SIRA-32 FP register faults.
-    pub sira32_fpr: u32,
-    /// Data-memory faults.
-    pub mem: u32,
-    /// Text faults.
-    pub text: u32,
-    /// Cache metadata faults (applied; unapplied ones prune statically).
-    #[serde(default)]
-    pub cache: u32,
-    /// Kernel-control faults (applied).
-    #[serde(default)]
-    pub kernelctl: u32,
-    /// Instruction-skip faults (applied).
-    #[serde(default)]
-    pub skip: u32,
-    /// Store-buffer faults (applied).
-    #[serde(default)]
-    pub storebuf: u32,
-    /// Cache-data faults (applied).
-    #[serde(default)]
-    pub cachedata: u32,
-}
+/// Per-campaign tallies of faults outside the oracle's model, one
+/// bucket per [`Unmodeled`] reason. Surfaced by the class statistics and
+/// the stats bins so "ran for real" and "could not even be considered"
+/// stay distinguishable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnmodeledCounts([u32; Unmodeled::ALL.len()]);
 
 impl UnmodeledCounts {
-    /// The one field-to-reason mapping; every accessor routes through
-    /// it so a new bucket cannot be wired inconsistently.
-    fn slot(&mut self, reason: Unmodeled) -> &mut u32 {
-        match reason {
-            Unmodeled::Sira32Fpr => &mut self.sira32_fpr,
-            Unmodeled::Mem => &mut self.mem,
-            Unmodeled::Text => &mut self.text,
-            Unmodeled::Cache => &mut self.cache,
-            Unmodeled::KernelCtl => &mut self.kernelctl,
-            Unmodeled::Skip => &mut self.skip,
-            Unmodeled::StoreBuf => &mut self.storebuf,
-            Unmodeled::CacheData => &mut self.cachedata,
-        }
-    }
-
     /// Bumps the bucket for `reason`.
     pub fn record(&mut self, reason: Unmodeled) {
-        *self.slot(reason) += 1;
+        self.0[reason as usize] += 1;
     }
 
     /// Occurrences of `reason`.
     pub fn count(&self, reason: Unmodeled) -> u32 {
-        match reason {
-            Unmodeled::Sira32Fpr => self.sira32_fpr,
-            Unmodeled::Mem => self.mem,
-            Unmodeled::Text => self.text,
-            Unmodeled::Cache => self.cache,
-            Unmodeled::KernelCtl => self.kernelctl,
-            Unmodeled::Skip => self.skip,
-            Unmodeled::StoreBuf => self.storebuf,
-            Unmodeled::CacheData => self.cachedata,
-        }
+        self.0[reason as usize]
     }
 
-    /// Folds another tally into this one, bucket by bucket. The fold
-    /// runs over [`Unmodeled::ALL`], so aggregation code (e.g. the
-    /// mining crate's collapse summary) picks up new buckets the moment
-    /// they exist instead of hand-summing a stale field list.
+    /// Folds another tally into this one, bucket by bucket.
     pub fn merge(&mut self, other: &UnmodeledCounts) {
-        for reason in Unmodeled::ALL {
-            *self.slot(reason) += other.count(reason);
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
         }
     }
 
     /// Total faults outside the model.
     pub fn total(&self) -> u32 {
-        self.sira32_fpr
-            + self.mem
-            + self.text
-            + self.cache
-            + self.kernelctl
-            + self.skip
-            + self.storebuf
-            + self.cachedata
+        self.0.iter().sum()
     }
 
     /// `"3 sira32-fpr + 2 mem"`-style breakdown (empty when zero).
@@ -473,7 +393,7 @@ mod tests {
 
     #[test]
     fn merge_folds_every_bucket() {
-        // Fill every bucket with a distinct count so a dropped field
+        // Fill every bucket with a distinct count so a dropped bucket
         // cannot cancel out.
         let mut a = UnmodeledCounts::default();
         let mut b = UnmodeledCounts::default();
@@ -487,6 +407,6 @@ mod tests {
         for (i, reason) in Unmodeled::ALL.into_iter().enumerate() {
             assert_eq!(a.count(reason), i as u32 + 2, "{}", reason.name());
         }
-        assert_eq!(a.total(), 44);
+        assert_eq!(a.total(), 35);
     }
 }

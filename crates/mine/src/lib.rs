@@ -14,12 +14,12 @@
 //! * masking-rate comparisons over every MPI/OMP pair, workload balance
 //!   and vulnerability windows (§4.2.2),
 //! * Pearson correlation over arbitrary metric pairs,
-//! * the Table 1 workload summary and the Figure 1 trend data,
-//! * class-weighted tallies and collapse accounting for
-//!   `prune_classes` campaigns ([`weighted_outcome_tally`],
-//!   [`collapse_summary`]).
+//! * the Table 1 workload summary and the Figure 1 trend data.
+//!
+//! A class-pruned campaign's records are byte-identical to a full
+//! campaign's, so every miner reads them as they are; its collapse
+//! accounting is `fracas_inject::ClassStats`.
 
-mod collapse;
 mod correlate;
 mod db;
 mod registers;
@@ -27,9 +27,6 @@ mod report;
 mod stats;
 mod trends;
 
-pub use collapse::{
-    collapse_summary, weighted_outcome_tally, weighted_wilson_half_width, CollapseSummary,
-};
 pub use correlate::{correlation_matrix, strongest, Correlation, METRICS, RATES};
 pub use db::{parse_id, Database, Key};
 pub use registers::{register_criticality, RegisterCriticality};
