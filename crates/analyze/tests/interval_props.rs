@@ -21,8 +21,8 @@
 
 use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_inject::{
-    classify, golden_run_with_checkpoints, golden_trace, inject_one, prune_target, Fault,
-    FaultTarget, Outcome, Workload,
+    classify, domain_of, golden_run_with_checkpoints, golden_trace, inject_one, Fault, FaultTarget,
+    Outcome, PruneCap, Workload,
 };
 use fracas_isa::{link, Asm, Cond, IsaKind, Reg};
 use fracas_kernel::{abi, BootSpec, Limits};
@@ -104,13 +104,23 @@ fn build_workload(
     }
 }
 
+/// The oracle-facing coordinates of `fault`, from its domain's registry
+/// map; `None` for domains without one or configurations it cannot
+/// model.
+fn oracle_coords(isa: IsaKind, fault: &Fault) -> Option<(usize, PruneTarget)> {
+    match domain_of(&fault.target).prune {
+        PruneCap::Oracle(map) => map(isa, fault).ok(),
+        PruneCap::StaticOnly(_) | PruneCap::Unmodeled(_) => None,
+    }
+}
+
 /// The class key of one fault, exactly as `fracas-inject` builds it:
 /// the full fault coordinates plus the landing-interval fingerprint.
 /// `None` for targets outside the oracle's model.
 type ClassKey = (usize, PruneTarget, u32, u32, Fingerprint);
 
 fn class_key(oracle: &PruneOracle, isa: IsaKind, fault: &Fault) -> Option<ClassKey> {
-    let (core, target) = prune_target(isa, fault).ok()?;
+    let (core, target) = oracle_coords(isa, fault)?;
     let bit = match fault.target {
         FaultTarget::Gpr { bit, .. } | FaultTarget::Fpr { bit, .. } => bit,
         FaultTarget::Flag { which, .. } => which,
@@ -338,7 +348,7 @@ fn check_late_landing(
     let oracle = PruneOracle::new(isa, &workload.image.text, workload.image.text_base, &trace);
     let (mut live, mut late) = (0, 0);
     for fault in faults {
-        let Ok((core, target)) = prune_target(isa, fault) else {
+        let Some((core, target)) = oracle_coords(isa, fault) else {
             continue;
         };
         let Some(horizon) = oracle

@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fracas::inject::{
-    golden_run, golden_run_with_checkpoints, inject_one, run_campaign, sample_faults,
-    CampaignConfig, CheckpointSet, Workload,
+    campaign_limits, golden_run, golden_run_with_checkpoints, inject_one, run_campaign,
+    sample_faults, CampaignConfig, CheckpointSet, Workload,
 };
 use fracas::kernel::{BootSpec, Kernel, Limits};
 use fracas::mem::CacheParams;
@@ -68,11 +68,7 @@ fn bench_checkpoint_vs_boot_replay(c: &mut Criterion) {
         &config.space,
         config.seed,
     );
-    let limits = Limits {
-        max_cycles: ((golden.cycles as f64 * config.watchdog_factor) as u64)
-            .max(golden.cycles + 100_000),
-        max_steps: (golden.total_instructions() * 8).max(1_000_000),
-    };
+    let limits = campaign_limits(&golden, &config);
     let boot_only = CheckpointSet::empty();
     let mut group = c.benchmark_group("checkpoint_engine");
     group.sample_size(10);

@@ -91,7 +91,7 @@ impl CostModel {
     ///
     /// The production interpreter does not call this per step: the
     /// machine prefolds `charge` over every class into a dense table
-    /// at construction (and again on `set_cost_model`), and each
+    /// when it is built or restored, and each
     /// predecoded instruction carries its class as an index into it.
     pub fn charge(&self, class: CostClass) -> u32 {
         match class {

@@ -110,6 +110,47 @@ impl FnProfile {
     }
 }
 
+/// Everything a step reads of the machine except physical memory: the
+/// one declaration of what [`Machine::snapshot`] captures,
+/// [`Machine::restore`] revives and [`Machine::state_matches`] compares.
+/// A field added here is captured, restored and compared with no
+/// further edit. Outside it sit physical memory (captured sparsely
+/// beside it), tables derived from it (rebuilt on restore) and
+/// observers (off after restore, never compared).
+///
+/// Fields are declared in comparison order, so the derived `==` tries
+/// the scalars first and the large collections last.
+#[derive(Debug, Clone, PartialEq)]
+struct MachineState {
+    isa: IsaKind,
+    text_base: u32,
+    cores: Vec<Core>,
+    caches: MemSystem,
+    /// Encoded instruction words (the injectable instruction memory).
+    text_words: Vec<u32>,
+    /// Predecoded table over `text_words` (see [`fracas_isa::lower`]):
+    /// one dense 16-byte slot per word, kept coherent by
+    /// [`Machine::patch_text_word`]. A word that no longer decodes or
+    /// violates the ISA lowers to [`Op::Illegal`] and traps at fetch.
+    /// Shared by `Arc`, so capture and restore cost one reference count
+    /// and a text fault landed before a capture survives the round
+    /// trip; mutation goes through copy-on-write. It is a pure function
+    /// of `text_words`, so comparing it never changes a verdict, and
+    /// because `DecodedInst: Eq` the `Arc` comparison short-circuits on
+    /// a shared pointer.
+    dtext: Arc<Vec<DecodedInst>>,
+}
+
+impl MachineState {
+    fn core_cycles(&self, core: usize) -> u64 {
+        self.cores[core].cycles()
+    }
+
+    fn max_cycles(&self) -> u64 {
+        self.cores.iter().map(Core::cycles).max().unwrap_or(0)
+    }
+}
+
 /// The simulated multicore machine: cores, physical memory, caches and
 /// the loaded text section.
 ///
@@ -118,41 +159,30 @@ impl FnProfile {
 /// [`Machine::run_to_halt`].
 #[derive(Debug, Clone)]
 pub struct Machine {
-    isa: IsaKind,
+    state: MachineState,
+    /// Physical memory (public: the kernel and the injector manipulate it).
+    pub mem: PhysMem,
+    /// The timing model: `CostModel::for_isa` of the state's ISA, so
+    /// derived data, rebuilt on restore rather than captured.
     cost: CostModel,
-    /// Encoded instruction words (the injectable instruction memory).
-    text_words: Vec<u32>,
-    /// Predecoded table over `text_words` (see [`fracas_isa::lower`]):
-    /// one dense 16-byte slot per word, kept coherent by
-    /// [`Machine::patch_text_word`]. A word that no longer decodes or
-    /// violates the ISA lowers to [`Op::Illegal`] and traps at fetch.
-    /// Shared by `Arc` so snapshot/restore is O(1); mutation goes
-    /// through copy-on-write.
-    dtext: Arc<Vec<DecodedInst>>,
-    text_base: u32,
     /// Cycle charge per [`CostClass`] discriminant, prefolded from
     /// `cost` so the hot loop charges with one array load.
     charge: [u32; CostClass::COUNT],
-    cores: Vec<Core>,
-    /// Physical memory (public: the kernel and the injector manipulate it).
-    pub mem: PhysMem,
-    /// Cache hierarchy (public for statistics readout).
-    pub caches: MemSystem,
+    /// Per-function cycle attribution, `None` unless
+    /// [`Machine::enable_profiling`] was called. This and the next two
+    /// fields are observers: they never influence execution, so they
+    /// stay outside the state and are off after [`Machine::restore`].
     profile: Option<FnProfile>,
     /// Golden-run event trace, `None` unless [`Machine::enable_trace`]
-    /// was called. An observer like `profile`: it never influences
-    /// execution and is excluded from snapshots.
+    /// was called.
     trace: Option<ExecTrace>,
     /// Per-step effects conformance checking (see [`crate::check`]).
-    /// Off after [`Machine::new`] and [`Machine::restore`]; an observer
-    /// like `profile`/`trace`, so it is excluded from snapshots and
-    /// state comparison and never influences execution.
     check_effects: bool,
     /// Force the structured-[`Inst`] reference interpreter instead of
     /// the predecoded fast path (see [`Machine::set_reference_exec`]).
-    /// A differential-testing hook, excluded from snapshots and state
-    /// comparison: both paths are architecturally identical, which is
-    /// exactly what the differential tests prove.
+    /// A differential-testing hook, outside the state: both paths are
+    /// architecturally identical, which is exactly what the
+    /// differential tests prove.
     ref_exec: bool,
 }
 
@@ -160,23 +190,13 @@ pub struct Machine {
 /// [`Machine::snapshot`] and revived by [`Machine::restore`].
 ///
 /// Physical memory is stored sparsely (nonzero pages only), as shared
-/// immutable pages; everything else is a plain copy. Profiling state
-/// is excluded — see [`Machine::snapshot`] for the determinism
-/// argument.
+/// immutable pages; the rest of the machine state is a plain copy.
+/// Observers are excluded — see [`Machine::snapshot`] for the
+/// determinism argument.
 #[derive(Debug, Clone)]
 pub struct MachineSnapshot {
-    isa: IsaKind,
-    cost: CostModel,
-    text_words: Vec<u32>,
-    /// The predecoded table travels with the snapshot by `Arc`, so
-    /// capturing and restoring costs one reference count — and a text
-    /// fault landed before the capture (a re-lowered slot) survives
-    /// the round trip without re-deriving anything.
-    dtext: Arc<Vec<DecodedInst>>,
-    text_base: u32,
-    cores: Vec<Core>,
+    state: MachineState,
     mem: MemSnapshot,
-    caches: MemSystem,
 }
 
 impl MachineSnapshot {
@@ -188,12 +208,12 @@ impl MachineSnapshot {
     ///
     /// Panics if `core` is out of range.
     pub fn core_cycles(&self, core: usize) -> u64 {
-        self.cores[core].cycles()
+        self.state.core_cycles(core)
     }
 
     /// The machine wall-clock (max over all core clocks) at capture time.
     pub fn max_cycles(&self) -> u64 {
-        self.cores.iter().map(Core::cycles).max().unwrap_or(0)
+        self.state.max_cycles()
     }
 }
 
@@ -203,8 +223,6 @@ impl Machine {
     /// The data template is *not* placed anywhere — that is the loader's
     /// (kernel's) job, since each process gets its own copy.
     pub fn new(image: &Image, cores: usize, mem_size: u32, cache: CacheParams) -> Machine {
-        let text_words: Vec<u32> = image.text.iter().map(fracas_isa::encode).collect();
-        let cost = CostModel::for_isa(image.isa);
         let dtext: Vec<DecodedInst> = image
             .text
             .iter()
@@ -214,16 +232,27 @@ impl Machine {
                 lower::lower(image.isa, pc, Some(inst))
             })
             .collect();
-        Machine {
+        let state = MachineState {
             isa: image.isa,
-            cost,
-            dtext: Arc::new(dtext),
-            text_words,
             text_base: image.text_base,
-            charge: charge_table(&cost),
             cores: (0..cores).map(|_| Core::new(image.isa)).collect(),
-            mem: PhysMem::new(mem_size),
             caches: MemSystem::new(cores, cache),
+            text_words: image.text.iter().map(fracas_isa::encode).collect(),
+            dtext: Arc::new(dtext),
+        };
+        Machine::with_state(state, PhysMem::new(mem_size))
+    }
+
+    /// Wraps `state` and `mem` with the derived timing tables and every
+    /// observer off: the one constructor behind [`Machine::new`] and
+    /// [`Machine::restore`].
+    fn with_state(state: MachineState, mem: PhysMem) -> Machine {
+        let cost = CostModel::for_isa(state.isa);
+        Machine {
+            state,
+            mem,
+            cost,
+            charge: charge_table(&cost),
             profile: None,
             trace: None,
             check_effects: false,
@@ -242,7 +271,7 @@ impl Machine {
             .expect("data template fits flat memory");
         for i in 0..cores {
             let sp = FLAT_MEM_SIZE - 64 * 1024 * (i as u32) - 64;
-            let core = &mut m.cores[i];
+            let core = &mut m.state.cores[i];
             core.set_reg(image.isa.gb(), u64::from(FLAT_DATA_BASE));
             core.set_reg(image.isa.sp(), u64::from(sp));
             core.set_pc(image.entry);
@@ -253,23 +282,7 @@ impl Machine {
 
     /// The machine's ISA.
     pub fn isa(&self) -> IsaKind {
-        self.isa
-    }
-
-    /// The timing model in effect.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Replaces the timing model (used by timing-sensitivity ablations).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-        self.charge = charge_table(&cost);
-    }
-
-    /// True when per-step effects conformance checking is on.
-    pub fn effect_check(&self) -> bool {
-        self.check_effects
+        self.state.isa
     }
 
     /// Turns per-step effects conformance checking on or off (a new or
@@ -279,12 +292,6 @@ impl Machine {
     /// panics. Checking observes execution without influencing it.
     pub fn set_effect_check(&mut self, on: bool) {
         self.check_effects = on;
-    }
-
-    /// True when the structured-[`Inst`] reference interpreter is
-    /// forced instead of the predecoded fast path.
-    pub fn reference_exec(&self) -> bool {
-        self.ref_exec
     }
 
     /// Forces (or releases) the structured-[`Inst`] reference
@@ -301,7 +308,7 @@ impl Machine {
 
     /// Number of cores.
     pub fn core_count(&self) -> usize {
-        self.cores.len()
+        self.state.cores.len()
     }
 
     /// Shared read access to a core.
@@ -310,7 +317,7 @@ impl Machine {
     ///
     /// Panics if `index` is out of range.
     pub fn core(&self, index: usize) -> &Core {
-        &self.cores[index]
+        &self.state.cores[index]
     }
 
     /// Mutable access to a core (kernel context switching, injection).
@@ -319,23 +326,29 @@ impl Machine {
     ///
     /// Panics if `index` is out of range.
     pub fn core_mut(&mut self, index: usize) -> &mut Core {
-        &mut self.cores[index]
+        &mut self.state.cores[index]
+    }
+
+    /// The cache hierarchy (statistics readout).
+    pub fn caches(&self) -> &MemSystem {
+        &self.state.caches
     }
 
     /// Base address of the text section.
     pub fn text_base(&self) -> u32 {
-        self.text_base
+        self.state.text_base
     }
 
     /// Byte size of the text section.
     pub fn text_bytes(&self) -> u32 {
-        (self.text_words.len() as u32) * 4
+        (self.state.text_words.len() as u32) * 4
     }
 
     /// The runnable core with the smallest local cycle count (ties break
     /// toward lower core ids). `None` when every core is halted.
     pub fn next_core(&self) -> Option<usize> {
-        self.cores
+        self.state
+            .cores
             .iter()
             .enumerate()
             .filter(|(_, c)| !c.is_halted())
@@ -346,7 +359,7 @@ impl Machine {
     /// The maximum local cycle count over all cores (the machine's wall
     /// clock; used for watchdogs and Table 1's simulation-time figures).
     pub fn max_cycles(&self) -> u64 {
-        self.cores.iter().map(Core::cycles).max().unwrap_or(0)
+        self.state.max_cycles()
     }
 
     /// One-pass scheduling probe: [`Machine::max_cycles`] and
@@ -368,7 +381,7 @@ impl Machine {
         // at worst ends a burst one step early (the re-election then
         // picks the same core) — it can never extend one.
         let mut cap = u64::MAX;
-        for (i, c) in self.cores.iter().enumerate() {
+        for (i, c) in self.state.cores.iter().enumerate() {
             let cy = c.cycles();
             wall = wall.max(cy);
             if c.is_halted() {
@@ -423,15 +436,15 @@ impl Machine {
         let mut n = 0u64;
         if plain && budget > 1 {
             loop {
-                if self.cores[core].is_halted() {
+                if self.state.cores[core].is_halted() {
                     return (n + 1, StepResult::Halted);
                 }
-                let pc = self.cores[core].pc();
+                let pc = self.state.cores[core].pc();
                 let r = self.step_fast(core, perm, pc);
                 n += 1;
                 if !matches!(r, StepResult::Executed)
                     || n >= budget
-                    || self.cores[core].cycles() >= cycle_cap
+                    || self.state.cores[core].cycles() >= cycle_cap
                 {
                     return (n, r);
                 }
@@ -442,7 +455,7 @@ impl Machine {
             n += 1;
             if !matches!(r, StepResult::Executed)
                 || n >= budget
-                || self.cores[core].cycles() >= cycle_cap
+                || self.state.cores[core].cycles() >= cycle_cap
             {
                 return (n, r);
             }
@@ -451,7 +464,11 @@ impl Machine {
 
     /// Total retired instructions over all cores.
     pub fn total_instructions(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats().instructions).sum()
+        self.state
+            .cores
+            .iter()
+            .map(|c| c.stats().instructions)
+            .sum()
     }
 
     /// Enables per-function cycle attribution from the image's symbol
@@ -464,7 +481,7 @@ impl Machine {
             .map(|s| (s.value, s.name.clone()))
             .collect();
         starts.sort();
-        let end = self.text_base + self.text_bytes();
+        let end = self.state.text_base + self.text_bytes();
         let mut names = Vec::with_capacity(starts.len());
         let mut ranges = Vec::with_capacity(starts.len());
         for (i, (start, name)) in starts.iter().enumerate() {
@@ -477,7 +494,7 @@ impl Machine {
             ranges,
             names,
             cycles,
-            memo: vec![0; self.cores.len()],
+            memo: vec![0; self.state.cores.len()],
         });
     }
 
@@ -502,7 +519,7 @@ impl Machine {
     /// bit-identical to an untraced one.
     pub fn enable_trace(&mut self) {
         self.trace = Some(ExecTrace::new(
-            self.cores.iter().map(Core::cycles).collect(),
+            self.state.cores.iter().map(Core::cycles).collect(),
         ));
     }
 
@@ -546,7 +563,7 @@ impl Machine {
     /// why stamping happens at the boundary).
     pub fn trace_tick_end(&mut self) {
         if let Some(t) = &mut self.trace {
-            let cores = &self.cores;
+            let cores = &self.state.cores;
             t.end_tick(|core| cores[core as usize].cycles());
         }
     }
@@ -556,8 +573,8 @@ impl Machine {
     /// Flips one bit of an integer register. On SIRA-32, register 15 is
     /// the architected PC, so the flip lands on the program counter.
     pub fn flip_gpr(&mut self, core: usize, reg: u32, bit: u32) {
-        let isa = self.isa;
-        let core = &mut self.cores[core];
+        let isa = self.state.isa;
+        let core = &mut self.state.cores[core];
         match isa {
             IsaKind::Sira32 => {
                 let reg = reg % 16;
@@ -581,7 +598,7 @@ impl Machine {
 
     /// Flips one bit of an FP register (SIRA-64).
     pub fn flip_fpr(&mut self, core: usize, reg: u32, bit: u32) {
-        let core = &mut self.cores[core];
+        let core = &mut self.state.cores[core];
         let reg = FReg((reg % 32) as u8);
         let v = core.freg(reg) ^ (1 << (bit % 64));
         core.set_freg(reg, v);
@@ -589,7 +606,7 @@ impl Machine {
 
     /// Flips one NZCV flag (0 = N, 1 = Z, 2 = C, 3 = V).
     pub fn flip_flag(&mut self, core: usize, which: u32) {
-        let core = &mut self.cores[core];
+        let core = &mut self.state.cores[core];
         let mut f = core.flags();
         match which % 4 {
             0 => f.n = !f.n,
@@ -613,7 +630,7 @@ impl Machine {
     /// decodes, executing it raises an illegal-instruction trap
     /// (modelling an uncorrected I-cache/IMEM upset).
     pub fn flip_text(&mut self, word_index: u32, bit: u32) {
-        if let Some(word) = self.text_words.get(word_index as usize) {
+        if let Some(word) = self.state.text_words.get(word_index as usize) {
             self.patch_text_word(word_index, word ^ (1 << (bit % 32)));
         }
     }
@@ -638,16 +655,20 @@ impl Machine {
             self.trace.is_none(),
             "text word {word_index} patched while tracing is on"
         );
-        let Some(slot) = self.text_words.get_mut(word_index as usize) else {
+        let Some(slot) = self.state.text_words.get_mut(word_index as usize) else {
             return;
         };
         *slot = word;
-        let isa = self.isa;
-        let pc = self.text_base.wrapping_add(word_index.wrapping_mul(4));
+        let isa = self.state.isa;
+        let pc = self
+            .state
+            .text_base
+            .wrapping_add(word_index.wrapping_mul(4));
         let inst = fracas_isa::decode(word)
             .ok()
             .filter(|inst| isa.validate(inst).is_ok());
-        Arc::make_mut(&mut self.dtext)[word_index as usize] = lower::lower(isa, pc, inst.as_ref());
+        Arc::make_mut(&mut self.state.dtext)[word_index as usize] =
+            lower::lower(isa, pc, inst.as_ref());
     }
 
     /// Flips one bit of a cache line's tag/state/LRU payload (see
@@ -666,7 +687,7 @@ impl Machine {
         line: usize,
         bit: u32,
     ) -> Result<(), fracas_mem::FlipError> {
-        self.caches.flip_bit(unit, core, line, bit)
+        self.state.caches.flip_bit(unit, core, line, bit)
     }
 
     /// Flips one bit of a resident cache line's 64-byte data copy (see
@@ -685,7 +706,9 @@ impl Machine {
         line: usize,
         bit: u32,
     ) -> Result<(), fracas_mem::FlipError> {
-        self.caches.flip_data_bit(unit, core, line, bit, &self.mem)
+        self.state
+            .caches
+            .flip_data_bit(unit, core, line, bit, &self.mem)
     }
 
     /// Flips one bit of a store-buffer entry's 97-bit payload (see
@@ -703,13 +726,13 @@ impl Machine {
         entry: usize,
         bit: u32,
     ) -> Result<(), fracas_mem::FlipError> {
-        self.caches.flip_storebuf(core, entry, bit)
+        self.state.caches.flip_storebuf(core, entry, bit)
     }
 
     /// Drains `core`'s store buffer to memory — the kernel's fence
     /// point at SVC entry. A no-op unless a fault tainted an entry.
     pub fn drain_store_buffer(&mut self, core: usize) {
-        self.caches.drain_store_buffer(core, &mut self.mem);
+        self.state.caches.drain_store_buffer(core, &mut self.mem);
     }
 
     /// Toggles the instruction-skip fault latch on `core`: the next
@@ -720,34 +743,39 @@ impl Machine {
     /// inverse, like every other flip hook (multi-bit "widths" fold
     /// onto the single latch, modulus 1).
     pub fn flip_skip(&mut self, core: usize) {
-        let cr = &mut self.cores[core];
+        let cr = &mut self.state.cores[core];
         cr.skip_pending = !cr.skip_pending;
     }
 
     /// Number of instruction words in the text section.
     pub fn text_len(&self) -> u32 {
-        self.text_words.len() as u32
+        self.state.text_words.len() as u32
     }
 
     /// The encoded instruction word at `index` (`None` out of range) —
     /// inspection hook for text-fault tooling and tests.
     pub fn text_word(&self, index: u32) -> Option<u32> {
-        self.text_words.get(index as usize).copied()
+        self.state.text_words.get(index as usize).copied()
     }
 
     // ----- checkpoint / restore -------------------------------------------
 
-    /// Captures every piece of architectural and micro-architectural
-    /// state that execution depends on: cores (registers, flags, cycle
-    /// clocks, stats), the text section (both encodings — a prior text
-    /// fault must survive the round trip), sparse physical memory and
-    /// the full cache hierarchy.
+    /// Captures every piece of state execution depends on: the machine
+    /// state (cores with their registers, flags, cycle clocks and stats;
+    /// the full cache hierarchy; the text section in both encodings, so
+    /// a prior text fault survives the round trip) plus sparse physical
+    /// memory.
     ///
-    /// Profiling state is deliberately *not* captured: attribution
-    /// observes execution without influencing it, so a machine restored
-    /// without a profile replays the exact same cycle-by-cycle schedule.
+    /// Observers — profiling, tracing, the effect checker and the
+    /// reference-interpreter switch — are deliberately *not* captured:
+    /// they observe execution without influencing it, so a machine
+    /// restored without them replays the exact same cycle-by-cycle
+    /// schedule.
     pub fn snapshot(&self) -> MachineSnapshot {
-        self.snapshot_with(self.mem.snapshot())
+        MachineSnapshot {
+            state: self.state.clone(),
+            mem: self.mem.snapshot(),
+        }
     }
 
     /// [`Machine::snapshot`] with physical memory captured incrementally
@@ -756,80 +784,36 @@ impl Machine {
     /// [`PhysMem::snapshot_since`]). The result equals what
     /// [`Machine::snapshot`] would capture, but costs no scan of memory.
     pub fn snapshot_since(&self, base: &MachineSnapshot, dirty: &PageSet) -> MachineSnapshot {
-        self.snapshot_with(self.mem.snapshot_since(&base.mem, dirty))
-    }
-
-    fn snapshot_with(&self, mem: MemSnapshot) -> MachineSnapshot {
         MachineSnapshot {
-            isa: self.isa,
-            cost: self.cost,
-            text_words: self.text_words.clone(),
-            dtext: Arc::clone(&self.dtext),
-            text_base: self.text_base,
-            cores: self.cores.clone(),
-            mem,
-            caches: self.caches.clone(),
+            state: self.state.clone(),
+            mem: self.mem.snapshot_since(&base.mem, dirty),
         }
     }
 
     /// Reconstructs a machine from a snapshot. The result is
     /// bit-identical to the machine the snapshot was taken from, except
-    /// that profiling and effect checking are off (see
-    /// [`Machine::snapshot`]).
+    /// that every observer is off (see [`Machine::snapshot`]).
     pub fn restore(snap: &MachineSnapshot) -> Machine {
-        Machine {
-            isa: snap.isa,
-            cost: snap.cost,
-            text_words: snap.text_words.clone(),
-            dtext: Arc::clone(&snap.dtext),
-            text_base: snap.text_base,
-            charge: charge_table(&snap.cost),
-            cores: snap.cores.clone(),
-            mem: snap.mem.restore(),
-            caches: snap.caches.clone(),
-            profile: None,
-            trace: None,
-            check_effects: false,
-            ref_exec: false,
-        }
+        Machine::with_state(snap.state.clone(), snap.mem.restore())
     }
 
-    /// True when this machine's architectural and micro-architectural
-    /// state is identical to the state `snap` captured — same registers,
-    /// flags, clocks, stats, text, memory image and cache hierarchy.
-    /// Profiling state is ignored, matching what [`Machine::snapshot`]
-    /// captures: a profile observes execution without influencing it.
+    /// True when this machine's state and memory image are identical to
+    /// what `snap` captured. Observers are ignored, matching what
+    /// [`Machine::snapshot`] captures.
     ///
     /// Because one tick is a pure function of this state, equality here
     /// (plus kernel-level equality) guarantees the two executions are
     /// indistinguishable from this point on.
     pub fn state_matches(&self, snap: &MachineSnapshot) -> bool {
-        self.isa == snap.isa
-            && self.cost == snap.cost
-            && self.text_base == snap.text_base
-            && self.cores == snap.cores
-            && self.caches == snap.caches
-            // The predecoded `dtext` table is a pure function of
-            // `text_words` (re-lowered at construction and by
-            // `patch_text_word`; the differential suite proves
-            // lowering-from-`Inst` and lowering-from-word agree), so
-            // comparing the raw words covers both and memcmps.
-            && self.text_words == snap.text_words
-            && self.mem.matches_snapshot(&snap.mem)
+        self.state == snap.state && self.mem.matches_snapshot(&snap.mem)
     }
 
     /// Like [`Machine::state_matches`], but physical memory is compared
     /// only over `touched` (see [`PhysMem::matches_snapshot_within`] for
-    /// the soundness condition). Everything else is still compared in
-    /// full — registers, flags, clocks, stats, caches, text.
+    /// the soundness condition). The rest of the state is still
+    /// compared in full.
     pub fn state_matches_within(&self, snap: &MachineSnapshot, touched: &PageSet) -> bool {
-        self.isa == snap.isa
-            && self.cost == snap.cost
-            && self.text_base == snap.text_base
-            && self.cores == snap.cores
-            && self.caches == snap.caches
-            && self.text_words == snap.text_words
-            && self.mem.matches_snapshot_within(&snap.mem, touched)
+        self.state == snap.state && self.mem.matches_snapshot_within(&snap.mem, touched)
     }
 
     // ----- interpreter ----------------------------------------------------
@@ -841,7 +825,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn step(&mut self, core: usize, perm: &PermissionMap) -> StepResult {
-        let c = &self.cores[core];
+        let c = &self.state.cores[core];
         if c.is_halted() {
             return StepResult::Halted;
         }
@@ -863,7 +847,7 @@ impl Machine {
         };
 
         if self.profile.is_some() {
-            let delta = self.cores[core].cycles() - cycles_before;
+            let delta = self.state.cores[core].cycles() - cycles_before;
             if delta > 0 {
                 if let Some(p) = &mut self.profile {
                     p.attribute(core, pc, delta);
@@ -871,7 +855,7 @@ impl Machine {
             }
         }
         if self.trace.is_some() {
-            let stats = &self.cores[core].stats;
+            let stats = &self.state.cores[core].stats;
             let skipped = stats.cond_skipped > skipped_before;
             if skipped || stats.instructions > instructions_before {
                 if let Some(t) = &mut self.trace {
@@ -889,9 +873,9 @@ impl Machine {
     /// of the decoded word (proved by the encode/decode round-trip
     /// property plus the predecode differential suite).
     fn decode_slot(&self, idx: usize) -> Option<Inst> {
-        let word = *self.text_words.get(idx)?;
+        let word = *self.state.text_words.get(idx)?;
         let inst = fracas_isa::decode(word).ok()?;
-        self.isa.validate(&inst).ok()?;
+        self.state.isa.validate(&inst).ok()?;
         Some(inst)
     }
 
@@ -935,31 +919,31 @@ impl Machine {
         if let Err(e) = perm.check(pc, 4, AccessKind::Execute) {
             return StepResult::Trap(Trap::Mem(e));
         }
-        let idx = (pc.wrapping_sub(self.text_base) / 4) as usize;
+        let idx = (pc.wrapping_sub(self.state.text_base) / 4) as usize;
         let Some(inst) = self.decode_slot(idx) else {
             return StepResult::Trap(Trap::IllegalInst { pc });
         };
-        let fetch_penalty = self.caches.access(core, Access::Fetch, pc);
-        self.cores[core].stats.miss_cycles += u64::from(fetch_penalty);
-        self.cores[core].cycles += u64::from(fetch_penalty);
+        let fetch_penalty = self.state.caches.access(core, Access::Fetch, pc);
+        self.state.cores[core].stats.miss_cycles += u64::from(fetch_penalty);
+        self.state.cores[core].cycles += u64::from(fetch_penalty);
 
-        if self.cores[core].skip_pending {
+        if self.state.cores[core].skip_pending {
             // The predecoded slot agrees with `inst` (predecode
             // invariant), and its `exec_mask` already folds the
             // branch-never-annuls rule the reference path handles via
             // `is_branch` below.
-            let d = self.dtext[idx];
+            let d = self.state.dtext[idx];
             let base = u64::from(self.cost.base);
             let charge = u64::from(self.charge[usize::from(d.cost)]);
-            return Self::consume_skip(&mut self.cores[core], d, base, charge, pc);
+            return Self::consume_skip(&mut self.state.cores[core], d, base, charge, pc);
         }
 
         // --- conditional execution ---
-        let flags = self.cores[core].flags();
+        let flags = self.state.cores[core].flags();
         let holds = inst.cond.holds(flags.n, flags.z, flags.c, flags.v);
         let is_branch = matches!(inst.kind, InstKind::B { .. });
         if !holds && !is_branch {
-            let c = &mut self.cores[core];
+            let c = &mut self.state.cores[core];
             c.stats.cond_skipped += 1;
             c.cycles += u64::from(self.cost.base);
             c.set_pc(pc.wrapping_add(4));
@@ -970,13 +954,13 @@ impl Machine {
             // Capture the pre-state *after* fetch and condition
             // handling so the fetch-cache penalty is excluded from the
             // checker's cycle accounting.
-            let pre = self.cores[core].clone();
+            let pre = self.state.cores[core].clone();
             let result = self.exec(core, perm, pc, inst, holds);
             crate::check::verify(&crate::check::StepObs {
-                isa: self.isa,
+                isa: self.state.isa,
                 cost: self.cost,
                 pre: &pre,
-                post: &self.cores[core],
+                post: &self.state.cores[core],
                 inst: &inst,
                 pc,
                 cond_holds: holds,
@@ -1003,16 +987,16 @@ impl Machine {
         if let Err(e) = perm.check(pc, 4, AccessKind::Execute) {
             return StepResult::Trap(Trap::Mem(e));
         }
-        let idx = (pc.wrapping_sub(self.text_base) / 4) as usize;
-        let Some(&d) = self.dtext.get(idx) else {
+        let idx = (pc.wrapping_sub(self.state.text_base) / 4) as usize;
+        let Some(&d) = self.state.dtext.get(idx) else {
             return StepResult::Trap(Trap::IllegalInst { pc });
         };
         if d.op == Op::Illegal {
             return StepResult::Trap(Trap::IllegalInst { pc });
         }
-        let fetch_penalty = self.caches.access(core, Access::Fetch, pc);
+        let fetch_penalty = self.state.caches.access(core, Access::Fetch, pc);
         let base = u64::from(self.cost.base);
-        let cr = &mut self.cores[core];
+        let cr = &mut self.state.cores[core];
         cr.stats.miss_cycles += u64::from(fetch_penalty);
         cr.cycles += u64::from(fetch_penalty);
 
@@ -1042,7 +1026,11 @@ impl Machine {
         pc: u32,
         d: DecodedInst,
     ) -> StepResult {
-        let bits = if self.isa == IsaKind::Sira32 { 32 } else { 64 };
+        let bits = if self.state.isa == IsaKind::Sira32 {
+            32
+        } else {
+            64
+        };
         let next = pc.wrapping_add(4);
         let branch_taken = u64::from(self.cost.branch_taken);
         // The whole static charge comes from the prefolded cost-class
@@ -1053,8 +1041,8 @@ impl Machine {
         // Split borrows once, so the hot loop never re-indexes `self`
         // per operand access.
         let mem = &mut self.mem;
-        let caches = &mut self.caches;
-        let cr = &mut self.cores[core];
+        let caches = &mut self.state.caches;
+        let cr = &mut self.state.cores[core];
 
         // Default PC advance; branch arms override. Ordered before
         // operand reads so a SIRA-32 `r15` read observes the
@@ -1374,19 +1362,19 @@ impl Machine {
         inst: Inst,
         cond_holds: bool,
     ) -> StepResult {
-        let isa = self.isa;
+        let isa = self.state.isa;
         let bits = if isa == IsaKind::Sira32 { 32 } else { 64 };
         let cost = self.cost;
         let next = pc.wrapping_add(4);
         // Default PC advance; branch arms override.
-        self.cores[core].set_pc(next);
-        self.cores[core].stats.instructions += 1;
+        self.state.cores[core].set_pc(next);
+        self.state.cores[core].stats.instructions += 1;
 
         macro_rules! trap {
             ($t:expr) => {{
                 // Roll back: a trapped instruction does not retire.
-                self.cores[core].set_pc(pc);
-                self.cores[core].stats.instructions -= 1;
+                self.state.cores[core].set_pc(pc);
+                self.state.cores[core].stats.instructions -= 1;
                 return StepResult::Trap($t);
             }};
         }
@@ -1401,48 +1389,48 @@ impl Machine {
             InstKind::Halt => {
                 // Halting is a fence: pending (possibly struck) stores
                 // retire before the core parks.
-                self.caches.drain_store_buffer(core, &mut self.mem);
-                self.cores[core].cycles += cycles;
-                self.cores[core].set_halted(true);
+                self.state.caches.drain_store_buffer(core, &mut self.mem);
+                self.state.cores[core].cycles += cycles;
+                self.state.cores[core].set_halted(true);
                 return StepResult::Halted;
             }
             InstKind::Svc { imm } => {
-                let c = &mut self.cores[core];
+                let c = &mut self.state.cores[core];
                 c.stats.svcs += 1;
                 c.cycles += cycles;
                 return StepResult::Svc(imm);
             }
             InstKind::Ret => {
-                let lr = self.cores[core].reg(isa.lr());
-                self.cores[core].set_pc(lr as u32);
+                let lr = self.state.cores[core].reg(isa.lr());
+                self.state.cores[core].set_pc(lr as u32);
                 cycles += u64::from(cost.branch_taken);
             }
             InstKind::Alu { op, rd, rn, rm } => {
-                let a = self.cores[core].reg(rn);
-                let b = self.cores[core].reg(rm);
+                let a = self.state.cores[core].reg(rn);
+                let b = self.state.cores[core].reg(rm);
                 match alu_exec(op, a, b, bits) {
-                    Some(v) => self.cores[core].set_reg(rd, v),
+                    Some(v) => self.state.cores[core].set_reg(rd, v),
                     None => trap!(Trap::DivByZero { pc }),
                 }
             }
             InstKind::AluImm { op, rd, rn, imm } => {
-                let a = self.cores[core].reg(rn);
+                let a = self.state.cores[core].reg(rn);
                 let b = imm as i64 as u64;
                 match alu_exec(op, a, b, bits) {
-                    Some(v) => self.cores[core].set_reg(rd, v),
+                    Some(v) => self.state.cores[core].set_reg(rd, v),
                     None => trap!(Trap::DivByZero { pc }),
                 }
             }
             InstKind::Cmp { rn, rm } => {
-                let a = self.cores[core].reg(rn);
-                let b = self.cores[core].reg(rm);
+                let a = self.state.cores[core].reg(rn);
+                let b = self.state.cores[core].reg(rm);
                 let f = sub_flags(a, b, bits);
-                self.cores[core].set_flags(f);
+                self.state.cores[core].set_flags(f);
             }
             InstKind::CmpImm { rn, imm } => {
-                let a = self.cores[core].reg(rn);
+                let a = self.state.cores[core].reg(rn);
                 let f = sub_flags(a, imm as i64 as u64, bits);
-                self.cores[core].set_flags(f);
+                self.state.cores[core].set_flags(f);
             }
             InstKind::MovImm {
                 rd,
@@ -1452,52 +1440,52 @@ impl Machine {
             } => {
                 let sh = u32::from(shift) * 16;
                 let v = if keep {
-                    (self.cores[core].reg(rd) & !(0xffffu64 << sh)) | (u64::from(imm) << sh)
+                    (self.state.cores[core].reg(rd) & !(0xffffu64 << sh)) | (u64::from(imm) << sh)
                 } else {
                     u64::from(imm) << sh
                 };
-                self.cores[core].set_reg(rd, v);
+                self.state.cores[core].set_reg(rd, v);
             }
             InstKind::Mov { rd, rm } => {
-                let v = self.cores[core].reg(rm);
-                self.cores[core].set_reg(rd, v);
+                let v = self.state.cores[core].reg(rm);
+                self.state.cores[core].set_reg(rd, v);
             }
             InstKind::Mvn { rd, rm } => {
-                let v = !self.cores[core].reg(rm);
-                self.cores[core].set_reg(rd, v);
+                let v = !self.state.cores[core].reg(rm);
+                self.state.cores[core].set_reg(rd, v);
             }
             InstKind::Ld { width, rd, rn, off } => {
-                let addr = (self.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
+                let addr = (self.state.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
                 match self.load(core, perm, width, addr) {
-                    Ok(v) => self.cores[core].set_reg(rd, v),
+                    Ok(v) => self.state.cores[core].set_reg(rd, v),
                     Err(t) => trap!(t),
                 }
             }
             InstKind::St { width, rd, rn, off } => {
-                let addr = (self.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
-                let v = self.cores[core].reg(rd);
+                let addr = (self.state.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
+                let v = self.state.cores[core].reg(rd);
                 if let Err(t) = self.store(core, perm, width, addr, v) {
                     trap!(t);
                 }
             }
             InstKind::LdR { width, rd, rn, rm } => {
-                let addr =
-                    (self.cores[core].reg(rn) as u32).wrapping_add(self.cores[core].reg(rm) as u32);
+                let addr = (self.state.cores[core].reg(rn) as u32)
+                    .wrapping_add(self.state.cores[core].reg(rm) as u32);
                 match self.load(core, perm, width, addr) {
-                    Ok(v) => self.cores[core].set_reg(rd, v),
+                    Ok(v) => self.state.cores[core].set_reg(rd, v),
                     Err(t) => trap!(t),
                 }
             }
             InstKind::StR { width, rd, rn, rm } => {
-                let addr =
-                    (self.cores[core].reg(rn) as u32).wrapping_add(self.cores[core].reg(rm) as u32);
-                let v = self.cores[core].reg(rd);
+                let addr = (self.state.cores[core].reg(rn) as u32)
+                    .wrapping_add(self.state.cores[core].reg(rm) as u32);
+                let v = self.state.cores[core].reg(rd);
                 if let Err(t) = self.store(core, perm, width, addr, v) {
                     trap!(t);
                 }
             }
             InstKind::B { off } => {
-                let c = &mut self.cores[core];
+                let c = &mut self.state.cores[core];
                 c.stats.branches += 1;
                 if cond_holds {
                     c.stats.branches_taken += 1;
@@ -1506,54 +1494,54 @@ impl Machine {
                 }
             }
             InstKind::Bl { off } => {
-                let c = &mut self.cores[core];
+                let c = &mut self.state.cores[core];
                 c.stats.calls += 1;
                 c.set_reg(isa.lr(), u64::from(next));
                 c.set_pc(branch_target(pc, off));
                 cycles += u64::from(cost.branch_taken);
             }
             InstKind::Blr { rm } => {
-                let target = self.cores[core].reg(rm) as u32;
-                let c = &mut self.cores[core];
+                let target = self.state.cores[core].reg(rm) as u32;
+                let c = &mut self.state.cores[core];
                 c.stats.calls += 1;
                 c.set_reg(isa.lr(), u64::from(next));
                 c.set_pc(target);
                 cycles += u64::from(cost.branch_taken);
             }
             InstKind::Swp { rd, rn, rm } => {
-                let addr = self.cores[core].reg(rn) as u32;
-                let new = self.cores[core].reg(rm);
+                let addr = self.state.cores[core].reg(rn) as u32;
+                let new = self.state.cores[core].reg(rm);
                 // Atomics are fences: the buffer drains before the RMW.
-                self.caches.drain_store_buffer(core, &mut self.mem);
+                self.state.caches.drain_store_buffer(core, &mut self.mem);
                 match self.load(core, perm, Width::Word, addr) {
                     Ok(old) => {
                         if let Err(t) = self.store(core, perm, Width::Word, addr, new) {
                             trap!(t);
                         }
-                        self.cores[core].set_reg(rd, old);
+                        self.state.cores[core].set_reg(rd, old);
                     }
                     Err(t) => trap!(t),
                 }
             }
             InstKind::AmoAdd { rd, rn, rm } => {
-                let addr = self.cores[core].reg(rn) as u32;
-                let delta = self.cores[core].reg(rm);
+                let addr = self.state.cores[core].reg(rn) as u32;
+                let delta = self.state.cores[core].reg(rm);
                 // Atomics are fences: the buffer drains before the RMW.
-                self.caches.drain_store_buffer(core, &mut self.mem);
+                self.state.caches.drain_store_buffer(core, &mut self.mem);
                 match self.load(core, perm, Width::Word, addr) {
                     Ok(old) => {
                         let sum = old.wrapping_add(delta);
                         if let Err(t) = self.store(core, perm, Width::Word, addr, sum) {
                             trap!(t);
                         }
-                        self.cores[core].set_reg(rd, old);
+                        self.state.cores[core].set_reg(rd, old);
                     }
                     Err(t) => trap!(t),
                 }
             }
             InstKind::Fp { op, fd, fa, fb } => {
-                let a = self.cores[core].freg_f64(fa);
-                let b = self.cores[core].freg_f64(fb);
+                let a = self.state.cores[core].freg_f64(fa);
+                let b = self.state.cores[core].freg_f64(fb);
                 let v = match op {
                     FpOp::Fadd => a + b,
                     FpOp::Fsub => a - b,
@@ -1564,12 +1552,12 @@ impl Machine {
                     FpOp::Fsqrt => a.sqrt(),
                     FpOp::Fmov => a,
                 };
-                self.cores[core].set_freg_f64(fd, v);
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].set_freg_f64(fd, v);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FpCmp { fa, fb } => {
-                let a = self.cores[core].freg_f64(fa);
-                let b = self.cores[core].freg_f64(fb);
+                let a = self.state.cores[core].freg_f64(fa);
+                let b = self.state.cores[core].freg_f64(fb);
                 let f = if a.is_nan() || b.is_nan() {
                     Flags {
                         n: false,
@@ -1585,68 +1573,68 @@ impl Machine {
                         v: false,
                     }
                 };
-                self.cores[core].set_flags(f);
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].set_flags(f);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FMovToFp { fd, rn } => {
-                let v = self.cores[core].reg(rn);
-                self.cores[core].set_freg(fd, v);
-                self.cores[core].stats.fp_ops += 1;
+                let v = self.state.cores[core].reg(rn);
+                self.state.cores[core].set_freg(fd, v);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FMovFromFp { rd, fa } => {
-                let v = self.cores[core].freg(fa);
-                self.cores[core].set_reg(rd, v);
-                self.cores[core].stats.fp_ops += 1;
+                let v = self.state.cores[core].freg(fa);
+                self.state.cores[core].set_reg(rd, v);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::Fcvtzs { rd, fa } => {
-                let a = self.cores[core].freg_f64(fa);
+                let a = self.state.cores[core].freg_f64(fa);
                 // Saturating convert, NaN -> 0 (ARM semantics).
                 let v = if a.is_nan() { 0 } else { a as i64 };
-                self.cores[core].set_reg(rd, v as u64);
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].set_reg(rd, v as u64);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::Scvtf { fd, rn } => {
-                let v = self.cores[core].reg(rn) as i64;
-                self.cores[core].set_freg_f64(fd, v as f64);
-                self.cores[core].stats.fp_ops += 1;
+                let v = self.state.cores[core].reg(rn) as i64;
+                self.state.cores[core].set_freg_f64(fd, v as f64);
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FLd { fd, rn, off } => {
-                let addr = (self.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
+                let addr = (self.state.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
                 match self.load_f64(core, perm, addr) {
-                    Ok(v) => self.cores[core].set_freg(fd, v),
+                    Ok(v) => self.state.cores[core].set_freg(fd, v),
                     Err(t) => trap!(t),
                 }
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FSt { fd, rn, off } => {
-                let addr = (self.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
-                let v = self.cores[core].freg(fd);
+                let addr = (self.state.cores[core].reg(rn) as u32).wrapping_add(off as i32 as u32);
+                let v = self.state.cores[core].freg(fd);
                 if let Err(t) = self.store_f64(core, perm, addr, v) {
                     trap!(t);
                 }
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FLdR { fd, rn, rm } => {
-                let addr =
-                    (self.cores[core].reg(rn) as u32).wrapping_add(self.cores[core].reg(rm) as u32);
+                let addr = (self.state.cores[core].reg(rn) as u32)
+                    .wrapping_add(self.state.cores[core].reg(rm) as u32);
                 match self.load_f64(core, perm, addr) {
-                    Ok(v) => self.cores[core].set_freg(fd, v),
+                    Ok(v) => self.state.cores[core].set_freg(fd, v),
                     Err(t) => trap!(t),
                 }
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].stats.fp_ops += 1;
             }
             InstKind::FStR { fd, rn, rm } => {
-                let addr =
-                    (self.cores[core].reg(rn) as u32).wrapping_add(self.cores[core].reg(rm) as u32);
-                let v = self.cores[core].freg(fd);
+                let addr = (self.state.cores[core].reg(rn) as u32)
+                    .wrapping_add(self.state.cores[core].reg(rm) as u32);
+                let v = self.state.cores[core].freg(fd);
                 if let Err(t) = self.store_f64(core, perm, addr, v) {
                     trap!(t);
                 }
-                self.cores[core].stats.fp_ops += 1;
+                self.state.cores[core].stats.fp_ops += 1;
             }
         }
 
-        self.cores[core].cycles += cycles;
+        self.state.cores[core].cycles += cycles;
         StepResult::Executed
     }
 
@@ -1657,17 +1645,17 @@ impl Machine {
         width: Width,
         addr: u32,
     ) -> Result<u64, Trap> {
-        let size = self.isa.width_bytes(width);
+        let size = self.state.isa.width_bytes(width);
         perm.check(addr, size, AccessKind::Read)?;
-        let v = match (width, self.isa) {
+        let v = match (width, self.state.isa) {
             (Width::Byte, _) => u64::from(self.mem.read_u8(addr)?),
             (Width::Half, _) | (Width::Word, IsaKind::Sira32) => {
                 u64::from(self.mem.read_u32(addr)?)
             }
             (Width::Word, IsaKind::Sira64) => self.mem.read_u64(addr)?,
         };
-        let (penalty, over) = self.caches.data_read(core, addr, size);
-        let c = &mut self.cores[core];
+        let (penalty, over) = self.state.caches.data_read(core, addr, size);
+        let c = &mut self.state.cores[core];
         c.stats.loads += 1;
         c.stats.miss_cycles += u64::from(penalty);
         c.cycles += u64::from(penalty);
@@ -1682,9 +1670,9 @@ impl Machine {
         addr: u32,
         value: u64,
     ) -> Result<(), Trap> {
-        let size = self.isa.width_bytes(width);
+        let size = self.state.isa.width_bytes(width);
         perm.check(addr, size, AccessKind::Write)?;
-        match (width, self.isa) {
+        match (width, self.state.isa) {
             (Width::Byte, _) => self.mem.write_u8(addr, value as u8)?,
             (Width::Half, _) | (Width::Word, IsaKind::Sira32) => {
                 self.mem.write_u32(addr, value as u32)?;
@@ -1692,9 +1680,10 @@ impl Machine {
             (Width::Word, IsaKind::Sira64) => self.mem.write_u64(addr, value)?,
         }
         let penalty = self
+            .state
             .caches
             .data_write(core, addr, size, value, &mut self.mem);
-        let c = &mut self.cores[core];
+        let c = &mut self.state.cores[core];
         c.stats.stores += 1;
         c.stats.miss_cycles += u64::from(penalty);
         c.cycles += u64::from(penalty);
@@ -1704,8 +1693,8 @@ impl Machine {
     fn load_f64(&mut self, core: usize, perm: &PermissionMap, addr: u32) -> Result<u64, Trap> {
         perm.check(addr, 8, AccessKind::Read)?;
         let v = self.mem.read_u64(addr)?;
-        let (penalty, over) = self.caches.data_read(core, addr, 8);
-        let c = &mut self.cores[core];
+        let (penalty, over) = self.state.caches.data_read(core, addr, 8);
+        let c = &mut self.state.cores[core];
         c.stats.loads += 1;
         c.stats.miss_cycles += u64::from(penalty);
         c.cycles += u64::from(penalty);
@@ -1721,8 +1710,11 @@ impl Machine {
     ) -> Result<(), Trap> {
         perm.check(addr, 8, AccessKind::Write)?;
         self.mem.write_u64(addr, bits)?;
-        let penalty = self.caches.data_write(core, addr, 8, bits, &mut self.mem);
-        let c = &mut self.cores[core];
+        let penalty = self
+            .state
+            .caches
+            .data_write(core, addr, 8, bits, &mut self.mem);
+        let c = &mut self.state.cores[core];
         c.stats.stores += 1;
         c.stats.miss_cycles += u64::from(penalty);
         c.cycles += u64::from(penalty);
@@ -1757,14 +1749,14 @@ impl Machine {
                 StepResult::Svc(num) => {
                     return Err(RunError::UnhandledSvc {
                         num,
-                        pc: self.cores[core].pc(),
+                        pc: self.state.cores[core].pc(),
                     })
                 }
             }
         }
         Err(RunError::StepLimit {
             instructions: self.total_instructions(),
-            pcs: self.cores.iter().map(Core::pc).collect(),
+            pcs: self.state.cores.iter().map(Core::pc).collect(),
         })
     }
 }

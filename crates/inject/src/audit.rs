@@ -64,8 +64,6 @@ impl AuditEntry {
 pub struct OracleAuditReport {
     /// Workload id the report covers.
     pub id: String,
-    /// The configured sampling rate.
-    pub rate: f64,
     /// Audited entries in fault-index order.
     pub entries: Vec<AuditEntry>,
 }
@@ -165,7 +163,6 @@ mod tests {
     fn report_counts_mismatches() {
         let report = OracleAuditReport {
             id: "x".into(),
-            rate: 0.5,
             entries: vec![
                 AuditEntry {
                     index: 0,

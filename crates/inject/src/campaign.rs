@@ -640,8 +640,11 @@ pub fn campaign_faults(
     )
 }
 
-/// The faulty-run watchdog limits derived from the golden reference.
-pub(crate) fn campaign_limits(golden: &RunReport, config: &CampaignConfig) -> Limits {
+/// The faulty-run watchdog limits derived from the golden reference:
+/// [`CampaignConfig::watchdog_factor`] times the golden cycle count (at
+/// least 100k cycles past it) and eight times its instruction count (at
+/// least a million steps). Every campaign's injections run under these.
+pub fn campaign_limits(golden: &RunReport, config: &CampaignConfig) -> Limits {
     Limits {
         max_cycles: ((golden.cycles as f64 * config.watchdog_factor) as u64)
             .max(golden.cycles + 100_000),

@@ -8,8 +8,9 @@
 //! the struck state is short-lived enough to probe for golden
 //! reconvergence, what the adjacent-bit (MBU) wrap modulus is, and what
 //! the prune oracle can say about it. `sample_space`, `Fault::apply`,
-//! `Fault::timing_core`, `prune_target`, the class planner and the
-//! sweep's `--*-faults` flags are all thin projections of this table —
+//! `Fault::timing_core`, the class planner's per-fault prune decision
+//! and the sweep's `--*-faults` flags are all thin projections of this
+//! table —
 //! adding a fault model is one registry entry plus its flip hooks,
 //! not a seven-file hand-edit.
 //!
@@ -212,8 +213,6 @@ pub struct Domain {
     /// Whether the struck state is short-lived enough that probing for
     /// golden reconvergence after injection pays off.
     pub ephemeral: bool,
-    /// Whether the [`FaultSpace`] enables this domain.
-    pub enabled: fn(&FaultSpace) -> bool,
     /// Enables this domain in a [`FaultSpace`] (no-op for domains
     /// without a boolean switch).
     pub enable: fn(&mut FaultSpace),
@@ -355,7 +354,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("gpr"),
         placement: Placement::CoreBlock,
         ephemeral: true,
-        enabled: |s| s.gpr,
         enable: |s| s.gpr = true,
         bits: gpr_bits,
         make: |d, core, within| {
@@ -385,7 +383,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("fpr"),
         placement: Placement::CoreBlock,
         ephemeral: true,
-        enabled: |s| s.fpr,
         enable: |s| s.fpr = true,
         bits: fpr_bits,
         make: |d, core, within| {
@@ -415,7 +412,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("flag"),
         placement: Placement::CoreBlock,
         ephemeral: true,
-        enabled: |s| s.flags,
         enable: |s| s.flags = true,
         bits: |d| if d.space.flags { 4 } else { 0 },
         make: |_, core, within| FaultTarget::Flag {
@@ -443,7 +439,6 @@ static DOMAINS: [Domain; 10] = [
         // The latch is consumed by the very next issued instruction:
         // the most ephemeral state in the model.
         ephemeral: true,
-        enabled: |s| s.skip,
         enable: |s| s.skip = true,
         bits: |d| u64::from(d.space.skip),
         make: |_, core, _| FaultTarget::InstrSkip { core },
@@ -468,7 +463,6 @@ static DOMAINS: [Domain; 10] = [
         flag: None,
         placement: Placement::Tail,
         ephemeral: false,
-        enabled: |s| s.mem.is_some(),
         enable: |_| {},
         bits: |d| d.space.mem.map_or(0, |(_, len)| u64::from(len) * 8),
         make: |d, _, w| {
@@ -494,7 +488,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("text"),
         placement: Placement::Tail,
         ephemeral: false,
-        enabled: |s| s.text,
         enable: |s| s.text = true,
         bits: |d| {
             if d.space.text {
@@ -523,7 +516,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("cache"),
         placement: Placement::Tail,
         ephemeral: false,
-        enabled: |s| s.cache,
         enable: |s| s.cache = true,
         bits: cache_bits,
         make: |d, _, w| {
@@ -582,7 +574,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("kernelctl"),
         placement: Placement::Tail,
         ephemeral: false,
-        enabled: |s| s.kernelctl,
         enable: |s| s.kernelctl = true,
         bits: kernelctl_bits,
         make: |d, _, w| {
@@ -628,7 +619,6 @@ static DOMAINS: [Domain; 10] = [
         // a drained corruption persists in memory indefinitely — the
         // long tail rules reconvergence probing out.
         ephemeral: false,
-        enabled: |s| s.storebuf,
         enable: |s| s.storebuf = true,
         bits: storebuf_bits,
         make: |d, _, w| {
@@ -663,7 +653,6 @@ static DOMAINS: [Domain; 10] = [
         flag: Some("cachedata"),
         placement: Placement::Tail,
         ephemeral: false,
-        enabled: |s| s.cachedata,
         enable: |s| s.cachedata = true,
         bits: cachedata_bits,
         make: |d, _, w| {

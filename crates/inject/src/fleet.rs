@@ -764,7 +764,6 @@ fn finish_workload(state: WorkloadState, config: &FleetConfig) -> CampaignResult
     // workers audited past the stop point before it was set.
     let audit = config.campaign.audits().then(|| OracleAuditReport {
         id: state.workload.id.clone(),
-        rate: config.campaign.oracle_audit,
         entries: slots.audits.iter().take(keep).flatten().copied().collect(),
     });
     let mut tally = Tally::default();

@@ -67,9 +67,9 @@ mod prune;
 
 pub use audit::{audit_selected, AuditEntry, OracleAuditReport};
 pub use campaign::{
-    campaign_faults, golden_only, golden_run, golden_run_with_checkpoints, golden_trace,
-    inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary, InjectionRecord,
-    ProfileStats, Tally, Workload,
+    campaign_faults, campaign_limits, golden_only, golden_run, golden_run_with_checkpoints,
+    golden_trace, inject_one, run_campaign, CampaignConfig, CampaignResult, GoldenSummary,
+    InjectionRecord, ProfileStats, Tally, Workload,
 };
 pub use checkpoint::CheckpointSet;
 pub use classes::{class_plan, ClassPlan, ClassStats};
@@ -82,4 +82,4 @@ pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };
 pub use fracas_analyze::Horizon;
-pub use prune::{prune_target, Unmodeled, UnmodeledCounts};
+pub use prune::{Unmodeled, UnmodeledCounts};

@@ -95,19 +95,6 @@ impl Unmodeled {
     }
 }
 
-/// The oracle-facing view of a sampled fault: the struck core and the
-/// architectural location, with the injector's wrapping rules
-/// (`reg % gpr_count`, SIRA-32 register 15 = PC, multi-bit flag upsets
-/// spreading over `(which + i) % 4`) applied. `Err` for targets the
-/// oracle does not model — see [`Unmodeled`]. A projection of the
-/// target domain's [`crate::domain::Domain::prune`] capability.
-pub fn prune_target(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-    match domain_of(&fault.target).prune {
-        PruneCap::Oracle(map) => map(isa, fault),
-        PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => Err(reason),
-    }
-}
-
 /// What the prune layer concluded about one fault, before any verdict
 /// lookup: synthesize a proven outcome, consult the interval oracle at
 /// the mapped coordinates, or run for real in a named bucket — the
@@ -194,6 +181,24 @@ mod tests {
     use super::*;
     use crate::FaultTarget;
 
+    /// `fault` projected through its domain's registry coordinate map
+    /// (the domain must be oracle-mapped).
+    fn mapped(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
+        match domain_of(&fault.target).prune {
+            PruneCap::Oracle(map) => map(isa, fault),
+            _ => panic!("{:?} is not oracle-mapped", fault.target),
+        }
+    }
+
+    /// The bucket `target`'s domain names for the faults the interval
+    /// oracle cannot model.
+    fn bucket(target: &FaultTarget) -> Unmodeled {
+        match domain_of(target).prune {
+            PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => reason,
+            PruneCap::Oracle(_) => panic!("{target:?} is oracle-mapped"),
+        }
+    }
+
     #[test]
     fn register_indices_wrap_like_the_injector() {
         let f = |target| Fault {
@@ -207,21 +212,18 @@ mod tests {
             reg: 31,
             bit: 0,
         };
-        assert_eq!(
-            prune_target(IsaKind::Sira32, &f(pc)),
-            Ok((1, PruneTarget::Pc))
-        );
+        assert_eq!(mapped(IsaKind::Sira32, &f(pc)), Ok((1, PruneTarget::Pc)));
         let r17 = FaultTarget::Gpr {
             core: 0,
             reg: 17,
             bit: 5,
         };
         assert_eq!(
-            prune_target(IsaKind::Sira32, &f(r17)),
+            mapped(IsaKind::Sira32, &f(r17)),
             Ok((0, PruneTarget::Gpr { reg: 1 }))
         );
         assert_eq!(
-            prune_target(IsaKind::Sira64, &f(r17)),
+            mapped(IsaKind::Sira64, &f(r17)),
             Ok((0, PruneTarget::Gpr { reg: 17 }))
         );
     }
@@ -235,7 +237,7 @@ mod tests {
             width: 2,
         };
         assert_eq!(
-            prune_target(IsaKind::Sira64, &fault),
+            mapped(IsaKind::Sira64, &fault),
             Ok((
                 0,
                 PruneTarget::Flags {
@@ -253,8 +255,8 @@ mod tests {
             width: 1,
         };
         assert_eq!(
-            prune_target(IsaKind::Sira64, &f(FaultTarget::Mem { addr: 0, bit: 0 })),
-            Err(Unmodeled::Mem)
+            bucket(&FaultTarget::Mem { addr: 0, bit: 0 }),
+            Unmodeled::Mem
         );
         // The SIRA-32 FPR regression: a machine-present but ISA-absent
         // register must land in an explicit bucket, not vanish into the
@@ -264,12 +266,9 @@ mod tests {
             reg: 2,
             bit: 0,
         };
+        assert_eq!(mapped(IsaKind::Sira32, &f(fpr)), Err(Unmodeled::Sira32Fpr));
         assert_eq!(
-            prune_target(IsaKind::Sira32, &f(fpr)),
-            Err(Unmodeled::Sira32Fpr)
-        );
-        assert_eq!(
-            prune_target(IsaKind::Sira64, &f(fpr)),
+            mapped(IsaKind::Sira64, &f(fpr)),
             Ok((0, PruneTarget::Fpr { reg: 2 }))
         );
     }
@@ -277,65 +276,42 @@ mod tests {
     #[test]
     fn uncore_targets_land_in_their_own_buckets() {
         // Every new domain names its bucket: no silent `None` path.
-        let f = |target| Fault {
-            target,
-            cycle: 0,
-            width: 1,
-        };
         let cache = FaultTarget::CacheState {
             core: 0,
             unit: 1,
             line: 3,
             bit: 33,
         };
+        assert_eq!(bucket(&cache), Unmodeled::Cache);
         assert_eq!(
-            prune_target(IsaKind::Sira64, &f(cache)),
-            Err(Unmodeled::Cache)
+            bucket(&FaultTarget::RunQueue { slot: 0, bit: 5 }),
+            Unmodeled::KernelCtl
         );
         assert_eq!(
-            prune_target(
-                IsaKind::Sira32,
-                &f(FaultTarget::RunQueue { slot: 0, bit: 5 })
-            ),
-            Err(Unmodeled::KernelCtl)
+            bucket(&FaultTarget::PagePerm {
+                pid: 1,
+                page: 2,
+                bit: 0
+            }),
+            Unmodeled::KernelCtl
+        );
+        assert_eq!(bucket(&FaultTarget::InstrSkip { core: 1 }), Unmodeled::Skip);
+        assert_eq!(
+            bucket(&FaultTarget::StoreBuf {
+                core: 0,
+                entry: 2,
+                bit: 40
+            }),
+            Unmodeled::StoreBuf
         );
         assert_eq!(
-            prune_target(
-                IsaKind::Sira64,
-                &f(FaultTarget::PagePerm {
-                    pid: 1,
-                    page: 2,
-                    bit: 0
-                })
-            ),
-            Err(Unmodeled::KernelCtl)
-        );
-        assert_eq!(
-            prune_target(IsaKind::Sira64, &f(FaultTarget::InstrSkip { core: 1 })),
-            Err(Unmodeled::Skip)
-        );
-        assert_eq!(
-            prune_target(
-                IsaKind::Sira64,
-                &f(FaultTarget::StoreBuf {
-                    core: 0,
-                    entry: 2,
-                    bit: 40
-                })
-            ),
-            Err(Unmodeled::StoreBuf)
-        );
-        assert_eq!(
-            prune_target(
-                IsaKind::Sira32,
-                &f(FaultTarget::CacheData {
-                    core: 1,
-                    unit: 1,
-                    line: 0,
-                    bit: 12
-                })
-            ),
-            Err(Unmodeled::CacheData)
+            bucket(&FaultTarget::CacheData {
+                core: 1,
+                unit: 1,
+                line: 0,
+                bit: 12
+            }),
+            Unmodeled::CacheData
         );
     }
 
@@ -350,7 +326,7 @@ mod tests {
             width: 1,
         };
         assert_eq!(
-            prune_target(IsaKind::Sira64, &single),
+            mapped(IsaKind::Sira64, &single),
             Ok((
                 0,
                 PruneTarget::Text {
@@ -365,7 +341,7 @@ mod tests {
             width: 2,
         };
         assert_eq!(
-            prune_target(IsaKind::Sira32, &wrapping),
+            mapped(IsaKind::Sira32, &wrapping),
             Ok((
                 0,
                 PruneTarget::Text {

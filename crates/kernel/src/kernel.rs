@@ -105,26 +105,41 @@ struct LockState {
     waiters: VecDeque<Tid>,
 }
 
-/// The kernel: owns the machine and drives all processes to completion.
-#[derive(Debug)]
-pub struct Kernel {
-    machine: Machine,
+/// Everything a tick reads of the kernel except the machine: the one
+/// declaration of what [`Kernel::snapshot`] captures, [`Kernel::restore`]
+/// revives and [`Kernel::state_matches`] compares. A field added here is
+/// captured, restored and compared with no further edit; the one thing
+/// a kernel holds outside it besides the machine is the scheduler's
+/// clock mirror, which is derived and rebuilt on restore.
+///
+/// Fields are declared in comparison order: counters and the console
+/// digest first, so the derived `==` of a diverged run usually fails
+/// before reaching the large collections.
+#[derive(Debug, Clone, PartialEq)]
+struct KernelState {
+    steps: u64,
+    console_len: u64,
+    console_hash: u64,
+    power_transitions: u64,
+    finished: Option<RunOutcome>,
     spec: BootSpec,
-    alloc: RegionAlloc,
-    procs: Vec<Process>,
-    threads: Vec<Thread>,
     ready: VecDeque<Tid>,
     core_thread: Vec<Option<Tid>>,
     dispatched_at: Vec<u64>,
+    alloc: RegionAlloc,
+    procs: Vec<Process>,
+    threads: Vec<Thread>,
     msgs: Vec<Vec<Message>>,
     barriers: HashMap<u32, Vec<Tid>>,
     locks: HashMap<u32, LockState>,
     console: Vec<u8>,
-    console_len: u64,
-    console_hash: u64,
-    steps: u64,
-    power_transitions: u64,
-    finished: Option<RunOutcome>,
+}
+
+/// The kernel: owns the machine and drives all processes to completion.
+#[derive(Debug)]
+pub struct Kernel {
+    machine: Machine,
+    state: KernelState,
     /// Dense mirror of each core's cycle clock, the scheduler's
     /// election input. Purely a derived cache (never snapshotted or
     /// compared): rebuilt from the machine whenever `sched_dirty`,
@@ -150,22 +165,7 @@ pub struct Kernel {
 #[derive(Debug, Clone)]
 pub struct KernelSnapshot {
     machine: MachineSnapshot,
-    spec: BootSpec,
-    alloc: RegionAlloc,
-    procs: Vec<Process>,
-    threads: Vec<Thread>,
-    ready: VecDeque<Tid>,
-    core_thread: Vec<Option<Tid>>,
-    dispatched_at: Vec<u64>,
-    msgs: Vec<Vec<Message>>,
-    barriers: HashMap<u32, Vec<Tid>>,
-    locks: HashMap<u32, LockState>,
-    console: Vec<u8>,
-    console_len: u64,
-    console_hash: u64,
-    steps: u64,
-    power_transitions: u64,
-    finished: Option<RunOutcome>,
+    state: KernelState,
 }
 
 impl KernelSnapshot {
@@ -238,28 +238,25 @@ impl Kernel {
             procs.push(proc);
         }
 
-        let mut kernel = Kernel {
+        let state = KernelState {
+            steps: 0,
+            console_len: 0,
+            console_hash: 0xcbf2_9ce4_8422_2325,
+            power_transitions: 0,
+            finished: None,
+            spec,
+            ready: (0..threads.len() as Tid).collect(),
             core_thread: vec![None; cores],
             dispatched_at: vec![0; cores],
-            msgs: (0..spec.processes).map(|_| Vec::new()).collect(),
-            machine,
-            spec,
             alloc,
             procs,
-            ready: (0..threads.len() as Tid).collect(),
             threads,
+            msgs: (0..spec.processes).map(|_| Vec::new()).collect(),
             barriers: HashMap::new(),
             locks: HashMap::new(),
             console: Vec::new(),
-            console_len: 0,
-            console_hash: 0xcbf2_9ce4_8422_2325,
-            steps: 0,
-            power_transitions: 0,
-            finished: None,
-            sched_cycles: vec![0; cores],
-            sched_live: vec![false; cores],
-            sched_dirty: true,
         };
+        let mut kernel = Kernel::with_state(machine, state);
         kernel.fill_cores();
         // Boot is deterministic, so the image/stack writes above are
         // common to every run; dirty-page tracking starts at the first
@@ -290,7 +287,7 @@ impl Kernel {
     /// validation and surfaces as a lost wakeup.
     pub fn flip_runq(&mut self, slot: u32, bit: u32) {
         self.sched_dirty = true;
-        if let Some(entry) = self.ready.get_mut(slot as usize) {
+        if let Some(entry) = self.state.ready.get_mut(slot as usize) {
             *entry ^= 1 << (bit % 32);
         }
     }
@@ -302,7 +299,7 @@ impl Kernel {
     /// preserved).
     pub fn flip_page_perm(&mut self, pid: u32, page: u32, bit: u32) {
         self.sched_dirty = true;
-        if let Some(p) = self.procs.get_mut(pid as usize) {
+        if let Some(p) = self.state.procs.get_mut(pid as usize) {
             p.perm.flip_page_bit(page, bit);
         }
     }
@@ -310,24 +307,24 @@ impl Kernel {
     /// Scheduler ticks executed so far (the quantity [`Limits::max_steps`]
     /// bounds).
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.state.steps
     }
 
     /// The boot spec.
     pub fn spec(&self) -> &BootSpec {
-        &self.spec
+        &self.state.spec
     }
 
     /// Console output so far (capped at an internal limit).
     pub fn console(&self) -> &[u8] {
-        &self.console
+        &self.state.console
     }
 
     /// Runs until every process exits, a trap ends the run, deadlock, or
     /// a watchdog fires. Idempotent once finished.
     pub fn run(&mut self, limits: &Limits) -> RunOutcome {
         loop {
-            if let Some(done) = self.finished {
+            if let Some(done) = self.state.finished {
                 return done;
             }
             if let Some(done) = self.tick(limits, Fence::None) {
@@ -347,7 +344,7 @@ impl Kernel {
         limits: &Limits,
     ) -> Option<RunOutcome> {
         loop {
-            if let Some(done) = self.finished {
+            if let Some(done) = self.state.finished {
                 return Some(done);
             }
             if self.machine.core(core).cycles() >= cycle {
@@ -365,7 +362,7 @@ impl Kernel {
     /// capturer's pacing loop.
     pub fn run_until_machine_cycle(&mut self, cycle: u64, limits: &Limits) -> Option<RunOutcome> {
         loop {
-            if let Some(done) = self.finished {
+            if let Some(done) = self.state.finished {
                 return Some(done);
             }
             if self.machine.max_cycles() >= cycle {
@@ -379,6 +376,20 @@ impl Kernel {
 
     // ----- checkpoint / restore -------------------------------------------
 
+    /// Wraps `machine` and `state` with a scheduler clock mirror marked
+    /// for rebuild: the one constructor behind [`Kernel::boot`] and
+    /// [`Kernel::restore`].
+    fn with_state(machine: Machine, state: KernelState) -> Kernel {
+        let cores = machine.core_count();
+        Kernel {
+            machine,
+            state,
+            sched_cycles: vec![0; cores],
+            sched_live: vec![false; cores],
+            sched_dirty: true,
+        }
+    }
+
     /// Captures the complete kernel state — machine, region allocator,
     /// process table, threads, run queue, core bindings, message queues,
     /// barriers, locks, console and accounting — at the current tick
@@ -389,7 +400,10 @@ impl Kernel {
     /// replays the exact tick sequence the original kernel would have
     /// executed, producing bit-identical [`RunReport`]s.
     pub fn snapshot(&self) -> KernelSnapshot {
-        self.snapshot_with(self.machine.snapshot())
+        KernelSnapshot {
+            machine: self.machine.snapshot(),
+            state: self.state.clone(),
+        }
     }
 
     /// [`Kernel::snapshot`] with physical memory captured incrementally
@@ -398,56 +412,16 @@ impl Kernel {
     /// [`Machine::snapshot_since`]). Checkpoint capture uses it for
     /// every rung after the first.
     pub fn snapshot_since(&self, base: &KernelSnapshot, dirty: &PageSet) -> KernelSnapshot {
-        self.snapshot_with(self.machine.snapshot_since(&base.machine, dirty))
-    }
-
-    fn snapshot_with(&self, machine: MachineSnapshot) -> KernelSnapshot {
         KernelSnapshot {
-            machine,
-            spec: self.spec,
-            alloc: self.alloc.clone(),
-            procs: self.procs.clone(),
-            threads: self.threads.clone(),
-            ready: self.ready.clone(),
-            core_thread: self.core_thread.clone(),
-            dispatched_at: self.dispatched_at.clone(),
-            msgs: self.msgs.clone(),
-            barriers: self.barriers.clone(),
-            locks: self.locks.clone(),
-            console: self.console.clone(),
-            console_len: self.console_len,
-            console_hash: self.console_hash,
-            steps: self.steps,
-            power_transitions: self.power_transitions,
-            finished: self.finished,
+            machine: self.machine.snapshot_since(&base.machine, dirty),
+            state: self.state.clone(),
         }
     }
 
-    /// Reconstructs a kernel from a snapshot (profiling disabled — see
-    /// [`Machine::snapshot`]).
+    /// Reconstructs a kernel from a snapshot (every machine observer
+    /// off — see [`Machine::snapshot`]).
     pub fn restore(snap: &KernelSnapshot) -> Kernel {
-        Kernel {
-            machine: Machine::restore(&snap.machine),
-            spec: snap.spec,
-            alloc: snap.alloc.clone(),
-            procs: snap.procs.clone(),
-            threads: snap.threads.clone(),
-            ready: snap.ready.clone(),
-            core_thread: snap.core_thread.clone(),
-            dispatched_at: snap.dispatched_at.clone(),
-            msgs: snap.msgs.clone(),
-            barriers: snap.barriers.clone(),
-            locks: snap.locks.clone(),
-            console: snap.console.clone(),
-            console_len: snap.console_len,
-            console_hash: snap.console_hash,
-            steps: snap.steps,
-            power_transitions: snap.power_transitions,
-            finished: snap.finished,
-            sched_cycles: vec![0; snap.core_thread.len()],
-            sched_live: vec![false; snap.core_thread.len()],
-            sched_dirty: true,
-        }
+        Kernel::with_state(Machine::restore(&snap.machine), snap.state.clone())
     }
 
     /// True when this kernel's complete state — machine and all
@@ -461,23 +435,7 @@ impl Kernel {
     /// checkpoint at the same point, its remainder *is* the golden
     /// remainder and need not be executed.
     pub fn state_matches(&self, snap: &KernelSnapshot) -> bool {
-        self.steps == snap.steps
-            && self.console_len == snap.console_len
-            && self.console_hash == snap.console_hash
-            && self.power_transitions == snap.power_transitions
-            && self.finished == snap.finished
-            && self.spec == snap.spec
-            && self.ready == snap.ready
-            && self.core_thread == snap.core_thread
-            && self.dispatched_at == snap.dispatched_at
-            && self.alloc == snap.alloc
-            && self.procs == snap.procs
-            && self.threads == snap.threads
-            && self.msgs == snap.msgs
-            && self.barriers == snap.barriers
-            && self.locks == snap.locks
-            && self.console == snap.console
-            && self.machine.state_matches(&snap.machine)
+        self.state == snap.state && self.machine.state_matches(&snap.machine)
     }
 
     /// Like [`Kernel::state_matches`], but physical memory is compared
@@ -487,23 +445,7 @@ impl Kernel {
     /// and machine state is still compared in full, so a match retains
     /// the same replay guarantee at a fraction of the cost.
     pub fn state_matches_within(&self, snap: &KernelSnapshot, touched: &PageSet) -> bool {
-        self.steps == snap.steps
-            && self.console_len == snap.console_len
-            && self.console_hash == snap.console_hash
-            && self.power_transitions == snap.power_transitions
-            && self.finished == snap.finished
-            && self.spec == snap.spec
-            && self.ready == snap.ready
-            && self.core_thread == snap.core_thread
-            && self.dispatched_at == snap.dispatched_at
-            && self.alloc == snap.alloc
-            && self.procs == snap.procs
-            && self.threads == snap.threads
-            && self.msgs == snap.msgs
-            && self.barriers == snap.barriers
-            && self.locks == snap.locks
-            && self.console == snap.console
-            && self.machine.state_matches_within(&snap.machine, touched)
+        self.state == snap.state && self.machine.state_matches_within(&snap.machine, touched)
     }
 
     /// Executes one scheduling step; `Some` when the run ended.
@@ -547,7 +489,7 @@ impl Kernel {
         if wall >= limits.max_cycles {
             return Some(self.finish(RunOutcome::CycleLimit));
         }
-        if self.steps >= limits.max_steps {
+        if self.state.steps >= limits.max_steps {
             return Some(self.finish(RunOutcome::StepLimit));
         }
         let Some((_, core)) = best else {
@@ -560,8 +502,8 @@ impl Kernel {
             };
             return Some(self.finish(outcome));
         };
-        let tid = self.core_thread[core].expect("running core must host a thread");
-        let pid = self.threads[tid as usize].pid;
+        let tid = self.state.core_thread[core].expect("running core must host a thread");
+        let pid = self.state.threads[tid as usize].pid;
         // Burst cap: the core may keep stepping, without the kernel
         // looking in between, until the first cycle count at which any
         // between-step kernel action could fire — losing the election,
@@ -572,19 +514,19 @@ impl Kernel {
         // kernel visit is provably a no-op, so an n-step burst is
         // state-identical to n single-step ticks.
         let mut cap = elect_cap.min(limits.max_cycles);
-        if !self.ready.is_empty() {
-            cap = cap.min(self.dispatched_at[core].saturating_add(self.spec.quantum));
+        if !self.state.ready.is_empty() {
+            cap = cap.min(self.state.dispatched_at[core].saturating_add(self.state.spec.quantum));
         }
         match fence {
             Fence::Core(c, f) if c == core => cap = cap.min(f),
             Fence::Wall(f) => cap = cap.min(f),
             Fence::Core(..) | Fence::None => {}
         }
-        let budget = limits.max_steps - self.steps;
-        let (n, result) = self
-            .machine
-            .run_burst(core, &self.procs[pid as usize].perm, budget, cap);
-        self.steps += n;
+        let budget = limits.max_steps - self.state.steps;
+        let (n, result) =
+            self.machine
+                .run_burst(core, &self.state.procs[pid as usize].perm, budget, cap);
+        self.state.steps += n;
         // A burst only advances the stepped core's clock; fold that
         // back into the mirror. Anything beyond plain execution
         // (preemption, syscalls, traps) can move other clocks or halt
@@ -623,19 +565,21 @@ impl Kernel {
     }
 
     fn finish(&mut self, outcome: RunOutcome) -> RunOutcome {
-        self.finished = Some(outcome);
+        self.state.finished = Some(outcome);
         outcome
     }
 
     fn live_threads(&self) -> usize {
-        self.threads
+        self.state
+            .threads
             .iter()
             .filter(|t| !matches!(t.state, ThreadState::Exited { .. }))
             .count()
     }
 
     fn aggregate_code(&self) -> i32 {
-        self.procs
+        self.state
+            .procs
             .iter()
             .filter_map(|p| p.exit_code)
             .find(|&c| c != 0)
@@ -648,9 +592,9 @@ impl Kernel {
         if self.machine.core(core).is_halted() {
             // Waking a parked core is a power-state transition (a
             // future-work statistic of the paper's 5).
-            self.power_transitions += 1;
+            self.state.power_transitions += 1;
         }
-        let thread = &mut self.threads[tid as usize];
+        let thread = &mut self.state.threads[tid as usize];
         thread.state = ThreadState::Running { core };
         let c = self.machine.core_mut(core);
         c.restore_context(&thread.ctx);
@@ -658,10 +602,10 @@ impl Kernel {
         if thread.ready_at > now {
             c.advance_idle(thread.ready_at - now);
         }
-        c.advance_kernel(self.spec.dispatch_cost);
+        c.advance_kernel(self.state.spec.dispatch_cost);
         c.set_halted(false);
-        self.core_thread[core] = Some(tid);
-        self.dispatched_at[core] = self.machine.core(core).cycles();
+        self.state.core_thread[core] = Some(tid);
+        self.state.dispatched_at[core] = self.machine.core(core).cycles();
         self.machine.trace_dispatch(core, tid);
     }
 
@@ -674,8 +618,9 @@ impl Kernel {
     /// is to drop the bogus entry rather than dispatch garbage — the
     /// lost wakeup then surfaces as a Hang or wrong-exit outcome.
     fn pop_ready(&mut self) -> Option<Tid> {
-        while let Some(tid) = self.ready.pop_front() {
+        while let Some(tid) = self.state.ready.pop_front() {
             if self
+                .state
                 .threads
                 .get(tid as usize)
                 .is_some_and(|t| t.state == ThreadState::Ready)
@@ -689,11 +634,11 @@ impl Kernel {
     /// Places ready threads on parked cores (lowest-clock cores first).
     fn fill_cores(&mut self) {
         loop {
-            if self.ready.is_empty() {
+            if self.state.ready.is_empty() {
                 return;
             }
-            let parked = (0..self.core_thread.len())
-                .filter(|&c| self.core_thread[c].is_none())
+            let parked = (0..self.state.core_thread.len())
+                .filter(|&c| self.state.core_thread[c].is_none())
                 .min_by_key(|&c| (self.machine.core(c).cycles(), c));
             let Some(core) = parked else { return };
             let Some(tid) = self.pop_ready() else { return };
@@ -702,10 +647,10 @@ impl Kernel {
     }
 
     fn make_ready(&mut self, tid: Tid, at: u64) {
-        let thread = &mut self.threads[tid as usize];
+        let thread = &mut self.state.threads[tid as usize];
         thread.state = ThreadState::Ready;
         thread.ready_at = at;
-        self.ready.push_back(tid);
+        self.state.ready.push_back(tid);
         self.fill_cores();
     }
 
@@ -713,7 +658,7 @@ impl Kernel {
     fn block_current(&mut self, core: usize, tid: Tid, reason: BlockReason) {
         let ctx = self.machine.core(core).save_context();
         self.machine.trace_save(core, tid);
-        let thread = &mut self.threads[tid as usize];
+        let thread = &mut self.state.threads[tid as usize];
         thread.ctx = ctx;
         thread.state = ThreadState::Blocked(reason);
         self.release_core(core);
@@ -721,35 +666,35 @@ impl Kernel {
 
     /// Parks `core` or hands it to the next ready thread.
     fn release_core(&mut self, core: usize) {
-        self.core_thread[core] = None;
+        self.state.core_thread[core] = None;
         if let Some(next) = self.pop_ready() {
             self.dispatch(core, next);
         } else {
-            self.power_transitions += 1;
+            self.state.power_transitions += 1;
             self.machine.core_mut(core).set_halted(true);
         }
     }
 
     /// Returns whether a preemption (context switch) happened.
     fn maybe_preempt(&mut self, core: usize, tid: Tid) -> bool {
-        if self.ready.is_empty() {
+        if self.state.ready.is_empty() {
             return false;
         }
         let now = self.machine.core(core).cycles();
-        if now - self.dispatched_at[core] < self.spec.quantum {
+        if now - self.state.dispatched_at[core] < self.state.spec.quantum {
             return false;
         }
         let ctx = self.machine.core(core).save_context();
         self.machine.trace_save(core, tid);
-        let thread = &mut self.threads[tid as usize];
+        let thread = &mut self.state.threads[tid as usize];
         thread.ctx = ctx;
         thread.state = ThreadState::Ready;
         thread.ready_at = now;
-        self.ready.push_back(tid);
+        self.state.ready.push_back(tid);
         // Cannot fail: the current thread was just queued as Ready, so
         // validation pops it at the latest.
         let next = self.pop_ready().expect("current thread is queued ready");
-        self.core_thread[core] = None;
+        self.state.core_thread[core] = None;
         self.dispatch(core, next);
         true
     }
@@ -758,12 +703,13 @@ impl Kernel {
 
     fn append_console(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.console_hash ^= u64::from(b);
-            self.console_hash = self.console_hash.wrapping_mul(0x0000_0100_0000_01b3);
+            self.state.console_hash ^= u64::from(b);
+            self.state.console_hash = self.state.console_hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        self.console_len += bytes.len() as u64;
-        let room = CONSOLE_CAP.saturating_sub(self.console.len());
-        self.console
+        self.state.console_len += bytes.len() as u64;
+        let room = CONSOLE_CAP.saturating_sub(self.state.console.len());
+        self.state
+            .console
             .extend_from_slice(&bytes[..bytes.len().min(room)]);
     }
 
@@ -779,19 +725,19 @@ impl Kernel {
 
     #[allow(clippy::too_many_lines)]
     fn syscall(&mut self, core: usize, tid: Tid, num: u16) -> Option<RunOutcome> {
-        let pid = self.threads[tid as usize].pid;
+        let pid = self.state.threads[tid as usize].pid;
         // Kernel entry is a fence: the calling core's store buffer
         // drains before the kernel reads any user memory, so a struck
         // in-flight store is visible to (or corrupts) the syscall.
         self.machine.drain_store_buffer(core);
         self.machine
             .core_mut(core)
-            .advance_kernel(self.spec.syscall_cost);
+            .advance_kernel(self.state.spec.syscall_cost);
         match num {
             abi::SYS_EXIT => {
                 let code = self.arg(core, 0) as u32 as i32;
                 self.kill_process(pid, code);
-                if self.procs.iter().all(|p| !p.is_alive()) {
+                if self.state.procs.iter().all(|p| !p.is_alive()) {
                     return Some(self.finish(RunOutcome::Exited {
                         code: self.aggregate_code(),
                     }));
@@ -812,7 +758,7 @@ impl Kernel {
             }
             abi::SYS_SBRK => {
                 let n = self.arg(core, 0) as u32;
-                let proc = &mut self.procs[pid as usize];
+                let proc = &mut self.state.procs[pid as usize];
                 let old = proc.brk;
                 match old.checked_add(n) {
                     Some(new) if new <= proc.heap_limit => {
@@ -835,14 +781,14 @@ impl Kernel {
             }
             abi::SYS_JOIN => {
                 let target = self.arg(core, 0) as u32;
-                match self.threads.get(target as usize).map(|t| t.state) {
+                match self.state.threads.get(target as usize).map(|t| t.state) {
                     None => self.set_ret(core, u64::from(u32::MAX)),
                     Some(ThreadState::Exited { ret }) => self.set_ret(core, ret as u64),
                     Some(_) => self.block_current(core, tid, BlockReason::Join { target }),
                 }
             }
             abi::SYS_RANK => self.set_ret(core, u64::from(pid)),
-            abi::SYS_SIZE => self.set_ret(core, u64::from(self.spec.processes)),
+            abi::SYS_SIZE => self.set_ret(core, u64::from(self.state.spec.processes)),
             abi::SYS_SEND => {
                 let dest = self.arg(core, 0) as u32;
                 let tag = self.arg(core, 1) as u32;
@@ -855,7 +801,9 @@ impl Kernel {
                     });
                     return Some(self.finish(RunOutcome::Trapped { trap, pid }));
                 }
-                if dest as usize >= self.procs.len() || !self.procs[dest as usize].is_alive() {
+                if dest as usize >= self.state.procs.len()
+                    || !self.state.procs[dest as usize].is_alive()
+                {
                     self.set_ret(core, u64::from(u32::MAX));
                 } else {
                     let payload = match self.copy_from_user(pid, ptr, len) {
@@ -885,12 +833,12 @@ impl Kernel {
                 let tag = self.arg(core, 1) as u32;
                 let ptr = self.arg(core, 2) as u32;
                 let maxlen = self.arg(core, 3) as u32;
-                let slot = self.msgs[pid as usize]
+                let slot = self.state.msgs[pid as usize]
                     .iter()
                     .position(|m| (src == abi::ANY_SOURCE || m.src == src) && m.tag == tag);
                 match slot {
                     Some(i) => {
-                        let msg = self.msgs[pid as usize].remove(i);
+                        let msg = self.state.msgs[pid as usize].remove(i);
                         let n = msg.payload.len().min(maxlen as usize);
                         if let Err(trap) = self.copy_to_user(pid, ptr, &msg.payload[..n]) {
                             return Some(self.finish(RunOutcome::Trapped { trap, pid }));
@@ -899,7 +847,7 @@ impl Kernel {
                         self.set_ret(core, n as u64);
                     }
                     None => {
-                        self.threads[tid as usize].pending_recv = Some(PendingRecv {
+                        self.state.threads[tid as usize].pending_recv = Some(PendingRecv {
                             src,
                             tag,
                             ptr,
@@ -913,14 +861,14 @@ impl Kernel {
                 let id = self.arg(core, 0) as u32;
                 let count = self.arg(core, 1) as u32;
                 let now = self.machine.core(core).cycles();
-                let waiting = self.barriers.entry(id).or_default();
+                let waiting = self.state.barriers.entry(id).or_default();
                 waiting.push(tid);
                 if waiting.len() as u32 >= count.max(1) {
-                    let woken = self.barriers.remove(&id).expect("just inserted");
+                    let woken = self.state.barriers.remove(&id).expect("just inserted");
                     self.set_ret(core, 0);
                     for w in woken {
                         if w != tid {
-                            self.threads[w as usize].ctx.regs[0] = 0;
+                            self.state.threads[w as usize].ctx.regs[0] = 0;
                             self.machine.trace_ctx_write(w);
                             self.make_ready(w, now);
                         }
@@ -931,7 +879,7 @@ impl Kernel {
             }
             abi::SYS_LOCK => {
                 let addr = self.arg(core, 0) as u32;
-                let lock = self.locks.entry(addr).or_default();
+                let lock = self.state.locks.entry(addr).or_default();
                 if lock.held_by.is_none() {
                     lock.held_by = Some(tid);
                     self.set_ret(core, 0);
@@ -943,11 +891,11 @@ impl Kernel {
             abi::SYS_UNLOCK => {
                 let addr = self.arg(core, 0) as u32;
                 let now = self.machine.core(core).cycles();
-                match self.locks.get_mut(&addr) {
+                match self.state.locks.get_mut(&addr) {
                     Some(lock) if lock.held_by == Some(tid) => {
                         if let Some(next) = lock.waiters.pop_front() {
                             lock.held_by = Some(next);
-                            self.threads[next as usize].ctx.regs[0] = 0;
+                            self.state.threads[next as usize].ctx.regs[0] = 0;
                             self.machine.trace_ctx_write(next);
                             self.make_ready(next, now);
                         } else {
@@ -963,19 +911,19 @@ impl Kernel {
                 self.set_ret(core, t);
             }
             abi::SYS_YIELD => {
-                if !self.ready.is_empty() {
+                if !self.state.ready.is_empty() {
                     let now = self.machine.core(core).cycles();
                     let ctx = self.machine.core(core).save_context();
                     self.machine.trace_save(core, tid);
-                    let thread = &mut self.threads[tid as usize];
+                    let thread = &mut self.state.threads[tid as usize];
                     thread.ctx = ctx;
                     thread.state = ThreadState::Ready;
                     thread.ready_at = now;
-                    self.ready.push_back(tid);
+                    self.state.ready.push_back(tid);
                     // Cannot fail: the yielding thread was just queued
                     // as Ready, so validation pops it at the latest.
                     let next = self.pop_ready().expect("current thread is queued ready");
-                    self.core_thread[core] = None;
+                    self.state.core_thread[core] = None;
                     self.dispatch(core, next);
                 }
             }
@@ -1004,7 +952,7 @@ impl Kernel {
                 let b = self.arg(core, 0) as u8;
                 self.append_console(&[b]);
             }
-            abi::SYS_NTHREADS => self.set_ret(core, u64::from(self.spec.omp_threads)),
+            abi::SYS_NTHREADS => self.set_ret(core, u64::from(self.state.spec.omp_threads)),
             abi::SYS_GETTID => self.set_ret(core, u64::from(tid)),
             _ => {
                 let pc = self.machine.core(core).pc().wrapping_sub(4);
@@ -1018,23 +966,26 @@ impl Kernel {
     }
 
     fn spawn_thread(&mut self, pid: Pid, entry: u32, arg: u64, now: u64) -> u64 {
-        let stack = self.procs[pid as usize].free_stacks.pop().or_else(|| {
-            let s = self.alloc.alloc_stack()?;
-            self.procs[pid as usize]
-                .perm
-                .map_range(s.0, s.1 - s.0, Perms::RW);
-            Some(s)
-        });
+        let stack = self.state.procs[pid as usize]
+            .free_stacks
+            .pop()
+            .or_else(|| {
+                let s = self.state.alloc.alloc_stack()?;
+                self.state.procs[pid as usize]
+                    .perm
+                    .map_range(s.0, s.1 - s.0, Perms::RW);
+                Some(s)
+            });
         let Some(stack) = stack else {
             return u64::MAX;
         };
         let isa = self.machine.isa();
         let mut ctx = CoreContext::at_entry(entry);
-        ctx.regs[isa.gb().index()] = u64::from(self.procs[pid as usize].data_base);
+        ctx.regs[isa.gb().index()] = u64::from(self.state.procs[pid as usize].data_base);
         ctx.regs[isa.sp().index()] = u64::from(stack.1);
         ctx.regs[0] = arg;
-        let tid = self.threads.len() as Tid;
-        self.threads.push(Thread {
+        let tid = self.state.threads.len() as Tid;
+        self.state.threads.push(Thread {
             pid,
             state: ThreadState::Ready,
             ctx,
@@ -1042,22 +993,23 @@ impl Kernel {
             ready_at: now,
             pending_recv: None,
         });
-        self.ready.push_back(tid);
+        self.state.ready.push_back(tid);
         self.fill_cores();
         u64::from(tid)
     }
 
     fn thread_exit(&mut self, tid: Tid, ret: i64) {
-        let stack = self.threads[tid as usize].stack;
-        let pid = self.threads[tid as usize].pid;
-        self.threads[tid as usize].state = ThreadState::Exited { ret };
-        self.procs[pid as usize].free_stacks.push(stack);
+        let stack = self.state.threads[tid as usize].stack;
+        let pid = self.state.threads[tid as usize].pid;
+        self.state.threads[tid as usize].state = ThreadState::Exited { ret };
+        self.state.procs[pid as usize].free_stacks.push(stack);
         self.wake_joiners(tid, ret);
     }
 
     fn wake_joiners(&mut self, target: Tid, ret: i64) {
         let now = self.machine.max_cycles();
         let joiners: Vec<Tid> = self
+            .state
             .threads
             .iter()
             .enumerate()
@@ -1067,15 +1019,16 @@ impl Kernel {
             .map(|(i, _)| i as Tid)
             .collect();
         for j in joiners {
-            self.threads[j as usize].ctx.regs[0] = ret as u64;
+            self.state.threads[j as usize].ctx.regs[0] = ret as u64;
             self.machine.trace_ctx_write(j);
             self.make_ready(j, now);
         }
     }
 
     fn kill_process(&mut self, pid: Pid, code: i32) {
-        self.procs[pid as usize].exit_code = Some(code);
+        self.state.procs[pid as usize].exit_code = Some(code);
         let victims: Vec<Tid> = self
+            .state
             .threads
             .iter()
             .enumerate()
@@ -1083,18 +1036,18 @@ impl Kernel {
             .map(|(i, _)| i as Tid)
             .collect();
         for tid in victims {
-            match self.threads[tid as usize].state {
+            match self.state.threads[tid as usize].state {
                 ThreadState::Running { core } => {
-                    self.core_thread[core] = None;
+                    self.state.core_thread[core] = None;
                     self.machine.core_mut(core).set_halted(true);
                 }
                 ThreadState::Ready => {
-                    self.ready.retain(|&t| t != tid);
+                    self.state.ready.retain(|&t| t != tid);
                 }
                 ThreadState::Blocked(reason) => self.cancel_block(tid, reason),
                 ThreadState::Exited { .. } => {}
             }
-            self.threads[tid as usize].state = ThreadState::Exited {
+            self.state.threads[tid as usize].state = ThreadState::Exited {
                 ret: i64::from(code),
             };
             self.wake_joiners(tid, i64::from(code));
@@ -1106,14 +1059,14 @@ impl Kernel {
         match reason {
             BlockReason::Recv | BlockReason::Join { .. } => {}
             BlockReason::Barrier { id } => {
-                if let Some(w) = self.barriers.get_mut(&id) {
+                if let Some(w) = self.state.barriers.get_mut(&id) {
                     w.retain(|&t| t != tid);
                 }
             }
             BlockReason::Lock { addr } => {
                 let now = self.machine.max_cycles();
                 let mut wake: Option<Tid> = None;
-                if let Some(lock) = self.locks.get_mut(&addr) {
+                if let Some(lock) = self.state.locks.get_mut(&addr) {
                     lock.waiters.retain(|&t| t != tid);
                     if lock.held_by == Some(tid) {
                         lock.held_by = lock.waiters.pop_front();
@@ -1121,19 +1074,19 @@ impl Kernel {
                     }
                 }
                 if let Some(next) = wake {
-                    self.threads[next as usize].ctx.regs[0] = 0;
+                    self.state.threads[next as usize].ctx.regs[0] = 0;
                     self.machine.trace_ctx_write(next);
                     self.make_ready(next, now);
                 }
             }
         }
-        self.threads[tid as usize].pending_recv = None;
+        self.state.threads[tid as usize].pending_recv = None;
     }
 
     /// Delivers a message to a blocked matching receiver or queues it.
     /// Returns `Some(outcome)` if delivery faulted the receiver.
     fn deliver_or_queue(&mut self, dest: Pid, msg: Message, now: u64) -> Option<RunOutcome> {
-        let receiver = self.threads.iter().enumerate().find_map(|(i, t)| {
+        let receiver = self.state.threads.iter().enumerate().find_map(|(i, t)| {
             if t.pid != dest || !matches!(t.state, ThreadState::Blocked(BlockReason::Recv)) {
                 return None;
             }
@@ -1147,28 +1100,28 @@ impl Kernel {
                 if let Err(trap) = self.copy_to_user(dest, pending.ptr, &msg.payload[..n]) {
                     return Some(self.finish(RunOutcome::Trapped { trap, pid: dest }));
                 }
-                self.threads[rtid as usize].pending_recv = None;
-                self.threads[rtid as usize].ctx.regs[0] = n as u64;
+                self.state.threads[rtid as usize].pending_recv = None;
+                self.state.threads[rtid as usize].ctx.regs[0] = n as u64;
                 self.machine.trace_ctx_write(rtid);
                 self.make_ready(rtid, now);
                 None
             }
             None => {
-                self.msgs[dest as usize].push(msg);
+                self.state.msgs[dest as usize].push(msg);
                 None
             }
         }
     }
 
     fn copy_from_user(&self, pid: Pid, ptr: u32, len: u32) -> Result<Vec<u8>, Trap> {
-        self.procs[pid as usize]
+        self.state.procs[pid as usize]
             .perm
             .check(ptr, len, fracas_mem::AccessKind::Read)?;
         Ok(self.machine.mem.read_bytes(ptr, len)?.to_vec())
     }
 
     fn copy_to_user(&mut self, pid: Pid, ptr: u32, bytes: &[u8]) -> Result<(), Trap> {
-        self.procs[pid as usize].perm.check(
+        self.state.procs[pid as usize].perm.check(
             ptr,
             bytes.len() as u32,
             fracas_mem::AccessKind::Write,
@@ -1185,9 +1138,9 @@ impl Kernel {
     ///
     /// Panics if called before the run finished.
     pub fn report(&self) -> RunReport {
-        let outcome = self.finished.expect("report requires a finished run");
+        let outcome = self.state.finished.expect("report requires a finished run");
         let mut mem_hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for proc in &self.procs {
+        for proc in &self.state.procs {
             let len = proc.brk - proc.data_base;
             let h = self
                 .machine
@@ -1209,13 +1162,13 @@ impl Kernel {
         }
         RunReport {
             outcome,
-            console: self.console.clone(),
-            console_len: self.console_len,
-            console_hash: self.console_hash,
+            console: self.state.console.clone(),
+            console_len: self.state.console_len,
+            console_hash: self.state.console_hash,
             mem_hash,
             ctx_hash,
             cycles: self.machine.max_cycles(),
-            power_transitions: self.power_transitions,
+            power_transitions: self.state.power_transitions,
             per_core_instructions: (0..self.machine.core_count())
                 .map(|i| self.machine.core(i).stats().instructions)
                 .collect(),
@@ -1236,12 +1189,15 @@ mod tests {
     const R2: Reg = Reg(2);
     const R3: Reg = Reg(3);
 
-    fn boot(isa: IsaKind, cores: usize, spec: BootSpec, build: impl FnOnce(&mut Asm)) -> Kernel {
+    fn image(isa: IsaKind, build: impl FnOnce(&mut Asm)) -> Image {
         let mut asm = Asm::new(isa);
         asm.global_fn("_start");
         build(&mut asm);
-        let image = link(isa, &[asm.into_object()]).expect("link");
-        Kernel::boot(&image, cores, spec)
+        link(isa, &[asm.into_object()]).expect("link")
+    }
+
+    fn boot(isa: IsaKind, cores: usize, spec: BootSpec, build: impl FnOnce(&mut Asm)) -> Kernel {
+        Kernel::boot(&image(isa, build), cores, spec)
     }
 
     fn exit0(asm: &mut Asm) {
@@ -1339,15 +1295,15 @@ mod tests {
         };
         // 3 processes on 1 core: threads 1 and 2 sit in the run queue.
         let mut k = boot(IsaKind::Sira64, 1, spec, exit0);
-        assert_eq!(k.ready.len(), 2);
-        let before = k.ready.clone();
+        assert_eq!(k.state.ready.len(), 2);
+        let before = k.state.ready.clone();
         k.flip_runq(0, 35); // bit 35 wraps onto bit 3
-        assert_eq!(k.ready[0], before[0] ^ 8);
+        assert_eq!(k.state.ready[0], before[0] ^ 8);
         k.flip_runq(0, 3);
-        assert_eq!(k.ready, before);
+        assert_eq!(k.state.ready, before);
         // Slots past the queue's occupancy are ignored.
         k.flip_runq(99, 0);
-        assert_eq!(k.ready, before);
+        assert_eq!(k.state.ready, before);
     }
 
     #[test]
@@ -1427,52 +1383,98 @@ mod tests {
         assert_eq!(k.run(&Limits::default()), RunOutcome::Exited { code: 21 });
     }
 
+    /// Two workers each add 1000 to a shared counter under the kernel
+    /// lock, using load/add/store (racy without the lock's mutual
+    /// exclusion across preemption points); the main thread prints the
+    /// counter and exits with it. Valid on both ISAs.
+    fn locked_adders(a: &mut Asm) {
+        let (tid0, tid1, left) = (Reg(5), Reg(6), Reg(4));
+        a.lea_text(R0, "adder");
+        a.movz(R1, 0, 0);
+        a.svc(abi::SYS_SPAWN);
+        a.mov(tid0, R0);
+        a.lea_text(R0, "adder");
+        a.svc(abi::SYS_SPAWN);
+        a.mov(tid1, R0);
+        a.mov(R0, tid0);
+        a.svc(abi::SYS_JOIN);
+        a.mov(R0, tid1);
+        a.svc(abi::SYS_JOIN);
+        a.lea_data(R1, "counter");
+        a.ld(R0, R1, 0);
+        a.svc(abi::SYS_WRITE_INT);
+        a.svc(abi::SYS_EXIT); // exit code = counter
+        a.global_fn("adder");
+        a.load_imm(left, 1000);
+        let done = a.new_label();
+        let top = a.here();
+        a.cmpi(left, 0);
+        a.bc(Cond::Eq, done);
+        a.lea_data(R0, "counter");
+        a.svc(abi::SYS_LOCK);
+        a.lea_data(R1, "counter");
+        a.ld(R2, R1, 0);
+        a.addi(R2, R2, 1);
+        a.st(R2, R1, 0);
+        a.lea_data(R0, "counter");
+        a.svc(abi::SYS_UNLOCK);
+        a.subi(left, left, 1);
+        a.b(top);
+        a.bind(done);
+        a.movz(R0, 0, 0);
+        a.svc(abi::SYS_THREAD_EXIT);
+        a.data_zero("counter", 8);
+    }
+
     #[test]
     fn kernel_lock_serialises_critical_section() {
-        // Two workers each add 1000 to a shared counter under the kernel
-        // lock, using load/add/store (racy without the lock's mutual
-        // exclusion across preemption points).
         let spec = BootSpec {
             quantum: 100,
             ..BootSpec::serial()
         };
-        let mut k = boot(IsaKind::Sira64, 2, spec, |a| {
-            a.lea_text(R0, "adder");
-            a.movz(R1, 0, 0);
-            a.svc(abi::SYS_SPAWN);
-            a.mov(Reg(16), R0);
-            a.lea_text(R0, "adder");
-            a.svc(abi::SYS_SPAWN);
-            a.mov(Reg(17), R0);
-            a.mov(R0, Reg(16));
-            a.svc(abi::SYS_JOIN);
-            a.mov(R0, Reg(17));
-            a.svc(abi::SYS_JOIN);
-            a.lea_data(R1, "counter");
-            a.ld(R0, R1, 0);
-            a.svc(abi::SYS_EXIT); // exit code = counter
-            a.global_fn("adder");
-            a.load_imm(Reg(16), 1000);
-            let done = a.new_label();
-            let top = a.here();
-            a.cmpi(Reg(16), 0);
-            a.bc(Cond::Eq, done);
-            a.lea_data(R0, "counter");
-            a.svc(abi::SYS_LOCK);
-            a.lea_data(R1, "counter");
-            a.ld(R2, R1, 0);
-            a.addi(R2, R2, 1);
-            a.st(R2, R1, 0);
-            a.lea_data(R0, "counter");
-            a.svc(abi::SYS_UNLOCK);
-            a.subi(Reg(16), Reg(16), 1);
-            a.b(top);
-            a.bind(done);
-            a.movz(R0, 0, 0);
-            a.svc(abi::SYS_THREAD_EXIT);
-            a.data_zero("counter", 8);
-        });
+        let mut k = boot(IsaKind::Sira64, 2, spec, locked_adders);
         assert_eq!(k.run(&Limits::default()), RunOutcome::Exited { code: 2000 });
+        assert_eq!(k.console(), b"2000");
+    }
+
+    /// Observers — profiling, tracing and the effect checker — sit
+    /// outside the checkpointed state: an instrumented kernel matches a
+    /// plain one at the same mark, and its snapshot restores without
+    /// them yet runs to the plain kernel's report.
+    #[test]
+    fn observers_stay_outside_the_checkpointed_state() {
+        let spec = BootSpec {
+            quantum: 100,
+            ..BootSpec::serial()
+        };
+        let limits = Limits::default();
+        for isa in [IsaKind::Sira64, IsaKind::Sira32] {
+            let image = image(isa, locked_adders);
+            let mut reference = Kernel::boot(&image, 2, spec);
+            reference.run(&limits);
+            let mark = reference.report().cycles / 2;
+
+            let mut plain = Kernel::boot(&image, 2, spec);
+            let mut observed = Kernel::boot(&image, 2, spec);
+            let m = observed.machine_mut();
+            m.enable_profiling(&image);
+            m.enable_trace();
+            m.set_effect_check(true);
+            assert!(plain.run_until_machine_cycle(mark, &limits).is_none());
+            assert!(observed.run_until_machine_cycle(mark, &limits).is_none());
+            assert!(
+                observed.machine().profile_report().values().any(|&c| c > 0),
+                "{isa:?}: the profile observed nothing"
+            );
+            assert!(plain.state_matches(&observed.snapshot()), "{isa:?}");
+            assert!(observed.state_matches(&plain.snapshot()), "{isa:?}");
+
+            let mut restored = Kernel::restore(&observed.snapshot());
+            assert!(restored.machine_mut().take_trace().is_none(), "{isa:?}");
+            plain.run(&limits);
+            restored.run(&limits);
+            assert_eq!(restored.report(), plain.report(), "{isa:?}");
+        }
     }
 
     #[test]

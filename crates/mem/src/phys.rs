@@ -306,41 +306,21 @@ impl PhysMem {
     }
 
     /// True when this memory is byte-identical to the image `snap`
-    /// captured. Walks both page lists in lockstep: pages retained in
-    /// the snapshot are compared directly, every other page must still
-    /// be all-zero. Costs one pass over memory (memcmp throughput) —
-    /// far cheaper than materialising a second snapshot to compare.
+    /// captured: [`PhysMem::matches_snapshot_within`] over every page,
+    /// so it costs one pass over memory (memcmp throughput) — far
+    /// cheaper than materialising a second snapshot to compare.
     pub fn matches_snapshot(&self, snap: &MemSnapshot) -> bool {
-        const ZERO_PAGE: [u8; SNAP_PAGE] = [0; SNAP_PAGE];
-        if self.size() != snap.size {
-            return false;
-        }
-        let mut pages = snap.pages.iter().peekable();
-        for (i, chunk) in self.bytes.chunks(SNAP_PAGE).enumerate() {
-            let offset = (i * SNAP_PAGE) as u32;
-            match pages.peek() {
-                Some((page_off, page)) if *page_off == offset => {
-                    if &page[..] != chunk {
-                        return false;
-                    }
-                    pages.next();
-                }
-                _ => {
-                    if chunk != &ZERO_PAGE[..chunk.len()] {
-                        return false;
-                    }
-                }
-            }
-        }
-        pages.next().is_none()
+        self.matches_snapshot_within(snap, &PageSet::full(self.size()))
     }
 
     /// Bounded snapshot comparison: like [`PhysMem::matches_snapshot`],
-    /// but only the pages listed in `touched` are compared. Sound when
-    /// the caller can prove every page *not* in `touched` is unchanged
-    /// on both sides since a common ancestor image — which is exactly
-    /// what the dirty-page sets recorded by checkpoint capture provide.
-    /// Cost scales with the number of touched pages, not memory size.
+    /// but only the pages listed in `touched` are compared — a page the
+    /// snapshot retains byte for byte, any other page against zero.
+    /// Sound when the caller can prove every page *not* in `touched` is
+    /// unchanged on both sides since a common ancestor image — which is
+    /// exactly what the dirty-page sets recorded by checkpoint capture
+    /// provide. Cost scales with the number of touched pages, not
+    /// memory size.
     pub fn matches_snapshot_within(&self, snap: &MemSnapshot, touched: &PageSet) -> bool {
         const ZERO_PAGE: [u8; SNAP_PAGE] = [0; SNAP_PAGE];
         if self.size() != snap.size {
@@ -353,7 +333,7 @@ impl PhysMem {
             }
             let end = (start + SNAP_PAGE).min(self.bytes.len());
             let chunk = &self.bytes[start..end];
-            match snap.page_at((start) as u32) {
+            match snap.page_at(start as u32) {
                 Some(stored) => stored == chunk,
                 None => chunk == &ZERO_PAGE[..chunk.len()],
             }

@@ -10,7 +10,7 @@
 //!
 //! It runs `CampaignConfig::default()`: 100 faults, 16 checkpoints.
 
-use fracas::inject::{golden_run_with_checkpoints, inject_one, sample_faults};
+use fracas::inject::{campaign_limits, golden_run_with_checkpoints, inject_one, sample_faults};
 use fracas::prelude::*;
 use std::time::Instant;
 
@@ -48,11 +48,7 @@ fn main() {
         &config.space,
         config.seed,
     );
-    let limits = Limits {
-        max_cycles: ((golden.cycles as f64 * config.watchdog_factor) as u64)
-            .max(golden.cycles + 100_000),
-        max_steps: (golden.total_instructions() * 8).max(1_000_000),
-    };
+    let limits = campaign_limits(&golden, &config);
 
     println!(
         "scenario {}: golden {} cycles, {} checkpoints, {} faults",

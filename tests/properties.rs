@@ -279,9 +279,12 @@ proptest! {
     /// domain** and every MBU width: a second application restores the
     /// register contexts, flags, memory, text, cache metadata, scheduler
     /// state, page permissions and skip latches bit-exactly — checked
-    /// through `Kernel::state_matches`, which compares all of them. The
-    /// target is decoded from a uniform offset by the domain's own
-    /// `make`, so every coordinate the sampler can produce is covered.
+    /// through `Kernel::state_matches`, which is `==` on the kernel's
+    /// and the machine's state structs plus a memory comparison: the
+    /// same declarations that define what a checkpoint holds, so
+    /// nothing a snapshot captures escapes the check. The target is
+    /// decoded from a uniform offset by the domain's own `make`, so
+    /// every coordinate the sampler can produce is covered.
     #[test]
     fn fault_apply_is_involution_for_every_domain(
         domain_idx in 0usize..fracas_inject::domains().len(),
