@@ -21,7 +21,7 @@
 
 use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_inject::{
-    classify, domain_of, golden_run_with_checkpoints, golden_trace, inject_one, Fault, FaultTarget,
+    classify, golden_run_with_checkpoints, golden_trace, inject_one, prune_cap, Fault, FaultTarget,
     Outcome, PruneCap, Workload,
 };
 use fracas_isa::{link, Asm, Cond, IsaKind, Reg};
@@ -104,12 +104,11 @@ fn build_workload(
     }
 }
 
-/// The oracle-facing coordinates of `fault`, from its domain's registry
-/// map; `None` for domains without one or configurations it cannot
-/// model.
+/// The oracle-facing coordinates of `fault`; `None` for targets the
+/// oracle does not fingerprint.
 fn oracle_coords(isa: IsaKind, fault: &Fault) -> Option<(usize, PruneTarget)> {
-    match domain_of(&fault.target).prune {
-        PruneCap::Oracle(map) => map(isa, fault).ok(),
+    match prune_cap(isa, fault) {
+        PruneCap::Oracle(core, target) => Some((core, target)),
         PruneCap::StaticOnly(_) | PruneCap::Unmodeled(_) => None,
     }
 }

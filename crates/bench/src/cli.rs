@@ -19,7 +19,7 @@
 //!   that binaries report like a bad flag (exit code 2). The library
 //!   crates read no environment; they take the resolved [`Config`].
 
-use fracas::inject::{CampaignConfig, FaultSpace, FleetConfig};
+use fracas::inject::{CampaignConfig, Domain, FaultSpace, FleetConfig};
 use fracas::isa::IsaKind;
 use fracas::npb::{App, Model, Scenario};
 use std::ffi::OsString;
@@ -200,24 +200,24 @@ pub struct SweepOpts {
     /// oracle-vs-execution mismatch.
     pub oracle_audit: Option<f64>,
     /// `--<domain>-faults` flags, in command-line order: fault-domain
-    /// registry names whose spaces replace the architectural-register
+    /// registry entries whose spaces replace the architectural-register
     /// default. The first flag resets the space to empty, every flag
     /// enables its domain, so flags compose (`--text-faults` alone is
     /// the decode-differential campaign axis; `--cache-faults
     /// --kernelctl-faults --skip-faults` is the uncore axis).
-    pub domains: Vec<&'static str>,
+    pub domains: Vec<&'static Domain>,
 }
 
 /// Resolves a `--<domain>-faults` flag against the fault-domain
-/// registry: `Some(domain name)` when the stem names a registered
-/// boolean-switch domain, `None` otherwise. Adding a domain to the
-/// registry grows the sweep's flag set with no change here.
-fn domain_flag(flag: &str) -> Option<&'static str> {
+/// registry: the domain whose boolean switch the stem names, `None`
+/// otherwise. Adding a domain to the registry grows the sweep's flag
+/// set with no change here.
+fn domain_flag(flag: &str) -> Option<&'static Domain> {
     let stem = flag.strip_prefix("--")?.strip_suffix("-faults")?;
     fracas::inject::domains()
         .iter()
+        .copied()
         .find(|d| d.flag == Some(stem))
-        .map(|d| d.name)
 }
 
 impl SweepOpts {
@@ -247,7 +247,7 @@ impl SweepOpts {
                 "--prune-classes" => opts.prune_classes = true,
                 "--oracle-audit" => opts.oracle_audit = Some(p.parsed(&flag)),
                 other => match domain_flag(other) {
-                    Some(name) => opts.domains.push(name),
+                    Some(domain) => opts.domains.push(domain),
                     None => p.unknown(other),
                 },
             }
@@ -291,8 +291,7 @@ impl SweepOpts {
         };
         if !self.domains.is_empty() {
             let mut space = FaultSpace::none();
-            for name in &self.domains {
-                let domain = fracas::inject::domain_named(name).expect("parsed from the registry");
+            for domain in &self.domains {
                 (domain.enable)(&mut space);
             }
             campaign.space = space;

@@ -17,7 +17,7 @@
 //! sink bit-identically, and the sink is deleted once the database is
 //! saved.
 
-use fracas::inject::{CampaignResult, FleetConfig, Workload};
+use fracas::inject::{FleetConfig, Workload};
 use fracas::mine::{parse_id, Database};
 use fracas::npb::Scenario;
 use std::path::Path;
@@ -181,16 +181,4 @@ pub fn scenarios_for_isa(isa: fracas::isa::IsaKind) -> Vec<Scenario> {
 /// correct database).
 pub fn coverage(db: &Database) -> usize {
     db.iter().filter(|c| parse_id(&c.id).is_some()).count()
-}
-
-/// Convenience: a result's five percentages in display order.
-pub fn pct_row(result: &CampaignResult) -> [f64; 5] {
-    use fracas::inject::Outcome;
-    [
-        result.tally.pct(Outcome::Vanished),
-        result.tally.pct(Outcome::Ona),
-        result.tally.pct(Outcome::Omm),
-        result.tally.pct(Outcome::Ut),
-        result.tally.pct(Outcome::Hang),
-    ]
 }

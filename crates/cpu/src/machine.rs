@@ -362,46 +362,6 @@ impl Machine {
         self.state.max_cycles()
     }
 
-    /// One-pass scheduling probe: [`Machine::max_cycles`] and
-    /// [`Machine::next_core`] fused, plus the elected core's *election
-    /// cap* — the cycle count at which [`Machine::next_core`] would
-    /// stop electing it. While the elected core's clock stays strictly
-    /// below the cap, re-running the election is guaranteed to pick the
-    /// same core, which is what lets the kernel batch consecutive
-    /// steps into one [`Machine::run_burst`] without perturbing the
-    /// schedule: core `i` wins while `cy_i < cy_j` for every lower id
-    /// `j` and `cy_i <= cy_j` for every higher id (ties go to the
-    /// lowest id), i.e. while `cy_i < min_j(cy_j + (j > i))`.
-    pub fn schedule_probe(&self) -> (u64, Option<(usize, u64)>) {
-        let mut wall = 0u64;
-        let mut best: Option<(u64, usize)> = None;
-        // Second-lowest runnable clock, kept as a *conservative* cap:
-        // the exact election boundary is `min_j(cy_j + (j > i))`, and
-        // using the raw second minimum only errs one cycle low, which
-        // at worst ends a burst one step early (the re-election then
-        // picks the same core) — it can never extend one.
-        let mut cap = u64::MAX;
-        for (i, c) in self.state.cores.iter().enumerate() {
-            let cy = c.cycles();
-            wall = wall.max(cy);
-            if c.is_halted() {
-                continue;
-            }
-            // Strict `<` on ascending ids keeps the lowest-id winner
-            // among ties, matching `next_core`.
-            match best {
-                Some((bc, _)) if cy >= bc => cap = cap.min(cy),
-                _ => {
-                    if let Some((bc, _)) = best {
-                        cap = cap.min(bc);
-                    }
-                    best = Some((cy, i));
-                }
-            }
-        }
-        (wall, best.map(|(_, i)| (i, cap)))
-    }
-
     /// Executes up to `budget` instructions on `core`, stopping early
     /// the moment a step yields anything but
     /// [`StepResult::Executed`] or the core's cycle clock reaches

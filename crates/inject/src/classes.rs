@@ -35,7 +35,7 @@
 //! from before its own landing.
 
 use crate::campaign::{InjectionRecord, Workload};
-use crate::prune::{prune_decision, Decision, Unmodeled, UnmodeledCounts};
+use crate::prune::{prune_cap, PruneCap, Unmodeled, UnmodeledCounts};
 use crate::{Fault, FaultTarget, Outcome};
 use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_cpu::ExecTrace;
@@ -240,16 +240,19 @@ pub(crate) fn class_plan_with(
     // bit, width), and an interval id names an op, not a register.
     let mut first: HashMap<(usize, PruneTarget, u32, u32, Fingerprint), u32> = HashMap::new();
     for (i, fault) in faults.iter().enumerate() {
-        let (core, target) = match prune_decision(oracle, image.isa, fault) {
-            Decision::Oracle(core, target) => (core, target),
-            Decision::Verdict(outcome) => {
-                // A static-only domain's provably-unapplied fault: the
-                // proven golden-timing outcome.
-                decided[i] = Some(outcome);
+        let (core, target) = match prune_cap(image.isa, fault) {
+            PruneCap::Oracle(core, target) => (core, target),
+            // The timing core halts before the injection cycle: the
+            // fault is never applied, the "faulty" run is the golden
+            // run, and Vanished with golden counts is exact.
+            PruneCap::StaticOnly(_)
+                if oracle.applied(fault.timing_core(), fault.cycle) == Some(false) =>
+            {
+                decided[i] = Some(Outcome::Vanished);
                 classes.push(FaultClass::Decided);
                 continue;
             }
-            Decision::Unmodeled(reason) => {
+            PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => {
                 // Outside the model: must execute alone — classing such
                 // a fault could merge genuinely different outcomes.
                 classes.push(FaultClass::Singleton(Some(reason)));

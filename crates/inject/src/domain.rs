@@ -1,18 +1,21 @@
 //! The declarative fault-domain registry.
 //!
-//! One [`Domain`] descriptor per [`FaultTarget`] family declares
-//! everything the campaign machinery needs to know about a kind of
-//! fault: how many bits its state contributes to the uniform sampling
-//! space, how a sampled offset becomes a concrete target, how the flip
-//! lands on a paused [`Kernel`], which core's clock times it, whether
-//! the struck state is short-lived enough to probe for golden
-//! reconvergence, what the adjacent-bit (MBU) wrap modulus is, and what
-//! the prune oracle can say about it. `sample_space`, `Fault::apply`,
-//! `Fault::timing_core`, the class planner's per-fault prune decision
-//! and the sweep's `--*-faults` flags are all thin projections of this
-//! table —
-//! adding a fault model is one registry entry plus its flip hooks,
-//! not a seven-file hand-edit.
+//! One [`Domain`] descriptor per [`FaultTarget`] family holds the
+//! family's data: its name and sweep flag, how many bits its state
+//! contributes to the uniform sampling space, how a sampled offset
+//! becomes a concrete target, and whether the struck state is
+//! short-lived enough to probe for golden reconvergence.
+//! `sample_space`, `Fault::targets_ephemeral_state` and the sweep's
+//! `--*-faults` flags read this table.
+//!
+//! Behaviour that takes a [`FaultTarget`] is not in the table: each
+//! such rule is one exhaustive `match` on the enum, so a new variant
+//! fails to compile until every rule names it. The rules are
+//! [`FaultTarget::domain`] (this module),
+//! [`Fault::timing_core`](crate::Fault::timing_core) and the flip hook
+//! behind [`Fault::apply`](crate::Fault::apply) (`fault.rs`),
+//! [`crate::prune_cap`] (the prune capability and the oracle
+//! coordinates) and the class key's bit coordinate (`classes.rs`).
 //!
 //! ## Layout contract
 //!
@@ -27,23 +30,10 @@
 //! historical space bit for bit — in particular the value-bearing
 //! store-buffer and cache-data domains sit *after* every legacy
 //! domain, so legacy sweeps draw the same faults they always did.
-//!
-//! ## Soundness of per-domain `Unmodeled` buckets
-//!
-//! Domains the interval oracle cannot fingerprint never prune silently:
-//! their prune capability names an explicit [`Unmodeled`] bucket, so
-//! every such fault either runs for real (counted in that bucket) or —
-//! for [`PruneCap::StaticOnly`] domains — is decided by the landing
-//! rule alone: a fault whose timing core never reaches its cycle is
-//! never applied, the "faulty" run *is* the golden run, and Vanished
-//! with golden timing is exact, not an approximation. Both paths keep
-//! pruned databases byte-identical to unpruned ones.
 
-use crate::fault::{Fault, FaultSpace, FaultTarget};
-use crate::prune::Unmodeled;
-use fracas_analyze::PruneTarget;
+use crate::fault::{FaultSpace, FaultTarget};
 use fracas_isa::IsaKind;
-use fracas_kernel::{BootSpec, Kernel};
+use fracas_kernel::BootSpec;
 
 /// Bits per cache line in the [`CacheState`](FaultTarget::CacheState)
 /// domain: a 32-bit tag, 2 MESI-state bits and 6 LRU-stamp bits (see
@@ -79,29 +69,6 @@ pub enum Placement {
     /// Appended once after the core block ([`Domain::bits`] returns
     /// *total* bits).
     Tail,
-}
-
-/// An [`Oracle`](PruneCap::Oracle) domain's coordinate map: the struck
-/// core and the oracle-facing location of a fault (with the injector's
-/// wrap rules applied), or the bucket for configurations it cannot
-/// model.
-pub type OracleMap = fn(IsaKind, &Fault) -> Result<(usize, PruneTarget), Unmodeled>;
-
-/// What the prune oracle can decide about a domain's faults.
-pub enum PruneCap {
-    /// Fully fingerprintable: the function maps a fault onto the
-    /// interval oracle's coordinates (applying the injector's wrap
-    /// rules), or names the bucket for the ISA configurations it cannot
-    /// model.
-    Oracle(OracleMap),
-    /// Only the landing rule applies: a fault whose timing core never
-    /// reaches its cycle is provably Vanished (the run is the golden
-    /// run); every applied fault runs for real, counted in the named
-    /// bucket.
-    StaticOnly(Unmodeled),
-    /// The oracle has no model at all: every fault runs for real,
-    /// counted in the named bucket.
-    Unmodeled(Unmodeled),
 }
 
 /// The sampling-space dimensions one campaign draws from: the processor
@@ -202,6 +169,7 @@ impl SpaceDims {
 }
 
 /// One fault-target family's declarative descriptor.
+#[derive(Debug)]
 pub struct Domain {
     /// Stable name (CLI docs, stats bins).
     pub name: &'static str,
@@ -224,20 +192,6 @@ pub struct Domain {
     /// `core` is the sampled core for core-block domains, 0 for tail
     /// domains.
     pub make: fn(&SpaceDims, u32, u64) -> FaultTarget,
-    /// Whether a target belongs to this domain.
-    pub matches: fn(&FaultTarget) -> bool,
-    /// The core whose cycle clock times this target's faults.
-    pub timing_core: fn(&FaultTarget) -> usize,
-    /// Lands adjacent-upset bit `i` of the fault on a paused kernel.
-    pub apply: fn(&mut Kernel, FaultTarget, u32),
-    /// The modulus adjacent MBU bits wrap at inside the struck word —
-    /// documentation of the flip hooks' actual arithmetic, pinned by
-    /// the per-domain wrap tests. (GPR words are ISA-wide; the skip
-    /// latch is a single toggle, so every "adjacent" bit folds onto
-    /// it.)
-    pub wrap_modulus: fn(IsaKind) -> u32,
-    /// What the prune oracle can decide about this domain.
-    pub prune: PruneCap,
 }
 
 fn gpr_bits(d: &SpaceDims) -> u64 {
@@ -298,414 +252,232 @@ fn kernelctl_bits(d: &SpaceDims) -> u64 {
     }
 }
 
-fn oracle_gpr(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-    let FaultTarget::Gpr { core, reg, .. } = fault.target else {
-        unreachable!("gpr domain got {:?}", fault.target)
-    };
-    let target = match isa {
-        IsaKind::Sira32 if reg % 16 == 15 => PruneTarget::Pc,
-        IsaKind::Sira32 => PruneTarget::Gpr { reg: reg % 16 },
-        IsaKind::Sira64 => PruneTarget::Gpr { reg: reg % 32 },
-    };
-    Ok((core as usize, target))
-}
+static GPR: Domain = Domain {
+    name: "gpr",
+    flag: Some("gpr"),
+    placement: Placement::CoreBlock,
+    ephemeral: true,
+    enable: |s| s.gpr = true,
+    bits: gpr_bits,
+    make: |d, core, within| {
+        let bits = u64::from(d.isa.reg_file().gpr_bits);
+        FaultTarget::Gpr {
+            core,
+            reg: (within / bits) as u32,
+            bit: (within % bits) as u32,
+        }
+    },
+};
 
-fn oracle_fpr(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-    let FaultTarget::Fpr { core, reg, .. } = fault.target else {
-        unreachable!("fpr domain got {:?}", fault.target)
-    };
-    match isa {
-        IsaKind::Sira32 => Err(Unmodeled::Sira32Fpr),
-        IsaKind::Sira64 => Ok((core as usize, PruneTarget::Fpr { reg: reg % 32 })),
-    }
-}
+static FPR: Domain = Domain {
+    name: "fpr",
+    flag: Some("fpr"),
+    placement: Placement::CoreBlock,
+    ephemeral: true,
+    enable: |s| s.fpr = true,
+    bits: fpr_bits,
+    make: |d, core, within| {
+        let bits = u64::from(d.isa.reg_file().fpr_bits);
+        FaultTarget::Fpr {
+            core,
+            reg: (within / bits) as u32,
+            bit: (within % bits) as u32,
+        }
+    },
+};
 
-fn oracle_flag(_isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-    let FaultTarget::Flag { core, which } = fault.target else {
-        unreachable!("flag domain got {:?}", fault.target)
-    };
-    let mut mask = 0u8;
-    for i in 0..fault.width.max(1) {
-        mask |= 1 << ((which + i) % 4);
-    }
-    Ok((core as usize, PruneTarget::Flags { mask }))
-}
+static FLAGS: Domain = Domain {
+    name: "flags",
+    flag: Some("flag"),
+    placement: Placement::CoreBlock,
+    ephemeral: true,
+    enable: |s| s.flags = true,
+    bits: |d| if d.space.flags { 4 } else { 0 },
+    make: |_, core, within| FaultTarget::Flag {
+        core,
+        which: within as u32,
+    },
+};
 
-fn oracle_text(_isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-    let FaultTarget::Text { word, bit } = fault.target else {
-        unreachable!("text domain got {:?}", fault.target)
-    };
-    // `Fault::apply` calls `flip_text(word, bit + i)` per upset bit and
-    // `flip_text` wraps the bit index within the word, so any width
-    // folds to one XOR mask on one word. Text faults always time
-    // against core 0.
-    let mut mask = 0u32;
-    for i in 0..fault.width.max(1) {
-        mask |= 1 << ((bit + i) % 32);
-    }
-    Ok((0, PruneTarget::Text { word, mask }))
-}
+static SKIP: Domain = Domain {
+    name: "skip",
+    flag: Some("skip"),
+    placement: Placement::CoreBlock,
+    // The latch is consumed by the very next issued instruction: the
+    // most ephemeral state in the model.
+    ephemeral: true,
+    enable: |s| s.skip = true,
+    bits: |d| u64::from(d.space.skip),
+    make: |_, core, _| FaultTarget::InstrSkip { core },
+};
+
+static MEM: Domain = Domain {
+    name: "mem",
+    flag: None,
+    placement: Placement::Tail,
+    ephemeral: false,
+    enable: |_| {},
+    bits: |d| d.space.mem.map_or(0, |(_, len)| u64::from(len) * 8),
+    make: |d, _, w| {
+        let (base, _) = d.space.mem.expect("mem bits imply mem space");
+        FaultTarget::Mem {
+            addr: base + (w / 8) as u32,
+            bit: (w % 8) as u32,
+        }
+    },
+};
+
+static TEXT: Domain = Domain {
+    name: "text",
+    flag: Some("text"),
+    placement: Placement::Tail,
+    ephemeral: false,
+    enable: |s| s.text = true,
+    bits: |d| {
+        if d.space.text {
+            u64::from(d.text_words) * 32
+        } else {
+            0
+        }
+    },
+    make: |_, _, w| FaultTarget::Text {
+        word: (w / 32) as u32,
+        bit: (w % 32) as u32,
+    },
+};
+
+static CACHE: Domain = Domain {
+    name: "cache",
+    flag: Some("cache"),
+    placement: Placement::Tail,
+    ephemeral: false,
+    enable: |s| s.cache = true,
+    bits: cache_bits,
+    make: |d, _, w| {
+        // Layout: per-core [L1I lines | L1D lines] core-major, then the
+        // shared L2 (core 0 by convention).
+        let l1_unit = u64::from(d.l1_lines) * CACHE_LINE_BITS;
+        let l1_total = 2 * u64::from(d.cores) * l1_unit;
+        if w < l1_total {
+            let core = (w / (2 * l1_unit)) as u32;
+            let within = w % (2 * l1_unit);
+            FaultTarget::CacheState {
+                core,
+                unit: (within / l1_unit) as u32,
+                line: ((within % l1_unit) / CACHE_LINE_BITS) as u32,
+                bit: (within % CACHE_LINE_BITS) as u32,
+            }
+        } else {
+            let w = w - l1_total;
+            FaultTarget::CacheState {
+                core: 0,
+                unit: 2,
+                line: (w / CACHE_LINE_BITS) as u32,
+                bit: (w % CACHE_LINE_BITS) as u32,
+            }
+        }
+    },
+};
+
+static KERNELCTL: Domain = Domain {
+    name: "kernelctl",
+    flag: Some("kernelctl"),
+    placement: Placement::Tail,
+    ephemeral: false,
+    enable: |s| s.kernelctl = true,
+    bits: kernelctl_bits,
+    make: |d, _, w| {
+        let runq = u64::from(d.runq_slots) * RUNQ_ENTRY_BITS;
+        if w < runq {
+            FaultTarget::RunQueue {
+                slot: (w / RUNQ_ENTRY_BITS) as u32,
+                bit: (w % RUNQ_ENTRY_BITS) as u32,
+            }
+        } else {
+            let w = w - runq;
+            let per_proc = u64::from(d.pages_per_proc) * PAGE_PERM_BITS;
+            FaultTarget::PagePerm {
+                pid: (w / per_proc) as u32,
+                page: ((w % per_proc) / PAGE_PERM_BITS) as u32,
+                bit: (w % PAGE_PERM_BITS) as u32,
+            }
+        }
+    },
+};
+
+static STOREBUF: Domain = Domain {
+    name: "storebuf",
+    flag: Some("storebuf"),
+    placement: Placement::Tail,
+    // A pending store lives at most a handful of instructions, but a
+    // drained corruption persists in memory indefinitely — the long
+    // tail rules reconvergence probing out.
+    ephemeral: false,
+    enable: |s| s.storebuf = true,
+    bits: storebuf_bits,
+    make: |d, _, w| {
+        // Per-core entry blocks, core-major.
+        let per_core = u64::from(d.sb_entries) * STOREBUF_ENTRY_BITS;
+        FaultTarget::StoreBuf {
+            core: (w / per_core) as u32,
+            entry: ((w % per_core) / STOREBUF_ENTRY_BITS) as u32,
+            bit: (w % STOREBUF_ENTRY_BITS) as u32,
+        }
+    },
+};
+
+static CACHEDATA: Domain = Domain {
+    name: "cachedata",
+    flag: Some("cachedata"),
+    placement: Placement::Tail,
+    ephemeral: false,
+    enable: |s| s.cachedata = true,
+    bits: cachedata_bits,
+    make: |d, _, w| {
+        // Layout: per-core L1D lines, core-major (see `cachedata_bits`
+        // for why neither L1I nor L2 is sampled).
+        let l1_unit = u64::from(d.l1_lines) * CACHE_DATA_LINE_BITS;
+        FaultTarget::CacheData {
+            core: (w / l1_unit) as u32,
+            unit: 1,
+            line: ((w % l1_unit) / CACHE_DATA_LINE_BITS) as u32,
+            bit: (w % CACHE_DATA_LINE_BITS) as u32,
+        }
+    },
+};
 
 /// The registry, in space-layout order (see the module docs' layout
 /// contract): core-block domains first, then tail domains.
-static DOMAINS: [Domain; 10] = [
-    Domain {
-        name: "gpr",
-        flag: Some("gpr"),
-        placement: Placement::CoreBlock,
-        ephemeral: true,
-        enable: |s| s.gpr = true,
-        bits: gpr_bits,
-        make: |d, core, within| {
-            let bits = u64::from(d.isa.reg_file().gpr_bits);
-            FaultTarget::Gpr {
-                core,
-                reg: (within / bits) as u32,
-                bit: (within % bits) as u32,
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::Gpr { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::Gpr { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::Gpr { core, reg, bit } = t else {
-                unreachable!()
-            };
-            k.machine_mut().flip_gpr(core as usize, reg, bit + i);
-        },
-        wrap_modulus: |isa| isa.reg_file().gpr_bits,
-        prune: PruneCap::Oracle(oracle_gpr),
-    },
-    Domain {
-        name: "fpr",
-        flag: Some("fpr"),
-        placement: Placement::CoreBlock,
-        ephemeral: true,
-        enable: |s| s.fpr = true,
-        bits: fpr_bits,
-        make: |d, core, within| {
-            let bits = u64::from(d.isa.reg_file().fpr_bits);
-            FaultTarget::Fpr {
-                core,
-                reg: (within / bits) as u32,
-                bit: (within % bits) as u32,
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::Fpr { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::Fpr { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::Fpr { core, reg, bit } = t else {
-                unreachable!()
-            };
-            k.machine_mut().flip_fpr(core as usize, reg, bit + i);
-        },
-        wrap_modulus: |isa| isa.reg_file().fpr_bits,
-        prune: PruneCap::Oracle(oracle_fpr),
-    },
-    Domain {
-        name: "flags",
-        flag: Some("flag"),
-        placement: Placement::CoreBlock,
-        ephemeral: true,
-        enable: |s| s.flags = true,
-        bits: |d| if d.space.flags { 4 } else { 0 },
-        make: |_, core, within| FaultTarget::Flag {
-            core,
-            which: within as u32,
-        },
-        matches: |t| matches!(t, FaultTarget::Flag { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::Flag { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::Flag { core, which } = t else {
-                unreachable!()
-            };
-            k.machine_mut().flip_flag(core as usize, which + i);
-        },
-        wrap_modulus: |_| 4,
-        prune: PruneCap::Oracle(oracle_flag),
-    },
-    Domain {
-        name: "skip",
-        flag: Some("skip"),
-        placement: Placement::CoreBlock,
-        // The latch is consumed by the very next issued instruction:
-        // the most ephemeral state in the model.
-        ephemeral: true,
-        enable: |s| s.skip = true,
-        bits: |d| u64::from(d.space.skip),
-        make: |_, core, _| FaultTarget::InstrSkip { core },
-        matches: |t| matches!(t, FaultTarget::InstrSkip { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::InstrSkip { core } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, _| {
-            let FaultTarget::InstrSkip { core } = t else {
-                unreachable!()
-            };
-            // Width folds onto the single latch (modulus 1): every
-            // adjacent "bit" toggles the same latch again.
-            k.machine_mut().flip_skip(core as usize);
-        },
-        wrap_modulus: |_| 1,
-        prune: PruneCap::StaticOnly(Unmodeled::Skip),
-    },
-    Domain {
-        name: "mem",
-        flag: None,
-        placement: Placement::Tail,
-        ephemeral: false,
-        enable: |_| {},
-        bits: |d| d.space.mem.map_or(0, |(_, len)| u64::from(len) * 8),
-        make: |d, _, w| {
-            let (base, _) = d.space.mem.expect("mem bits imply mem space");
-            FaultTarget::Mem {
-                addr: base + (w / 8) as u32,
-                bit: (w % 8) as u32,
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::Mem { .. }),
-        timing_core: |_| 0,
-        apply: |k, t, i| {
-            let FaultTarget::Mem { addr, bit } = t else {
-                unreachable!()
-            };
-            k.machine_mut().flip_mem(addr, bit + i);
-        },
-        wrap_modulus: |_| 8,
-        prune: PruneCap::Unmodeled(Unmodeled::Mem),
-    },
-    Domain {
-        name: "text",
-        flag: Some("text"),
-        placement: Placement::Tail,
-        ephemeral: false,
-        enable: |s| s.text = true,
-        bits: |d| {
-            if d.space.text {
-                u64::from(d.text_words) * 32
-            } else {
-                0
-            }
-        },
-        make: |_, _, w| FaultTarget::Text {
-            word: (w / 32) as u32,
-            bit: (w % 32) as u32,
-        },
-        matches: |t| matches!(t, FaultTarget::Text { .. }),
-        timing_core: |_| 0,
-        apply: |k, t, i| {
-            let FaultTarget::Text { word, bit } = t else {
-                unreachable!()
-            };
-            k.machine_mut().flip_text(word, bit + i);
-        },
-        wrap_modulus: |_| 32,
-        prune: PruneCap::Oracle(oracle_text),
-    },
-    Domain {
-        name: "cache",
-        flag: Some("cache"),
-        placement: Placement::Tail,
-        ephemeral: false,
-        enable: |s| s.cache = true,
-        bits: cache_bits,
-        make: |d, _, w| {
-            // Layout: per-core [L1I lines | L1D lines] core-major, then
-            // the shared L2 (core 0 by convention).
-            let l1_unit = u64::from(d.l1_lines) * CACHE_LINE_BITS;
-            let l1_total = 2 * u64::from(d.cores) * l1_unit;
-            if w < l1_total {
-                let core = (w / (2 * l1_unit)) as u32;
-                let within = w % (2 * l1_unit);
-                FaultTarget::CacheState {
-                    core,
-                    unit: (within / l1_unit) as u32,
-                    line: ((within % l1_unit) / CACHE_LINE_BITS) as u32,
-                    bit: (within % CACHE_LINE_BITS) as u32,
-                }
-            } else {
-                let w = w - l1_total;
-                FaultTarget::CacheState {
-                    core: 0,
-                    unit: 2,
-                    line: (w / CACHE_LINE_BITS) as u32,
-                    bit: (w % CACHE_LINE_BITS) as u32,
-                }
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::CacheState { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::CacheState { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::CacheState {
-                core,
-                unit,
-                line,
-                bit,
-            } = t
-            else {
-                unreachable!()
-            };
-            // A registry-sampled coordinate is in range by construction;
-            // an `Err` here means the sampler and the flip hook disagree
-            // about the geometry. Panic so the campaign runner surfaces
-            // it as an `Anomaly` record instead of silently dropping the
-            // flip.
-            k.machine_mut()
-                .flip_cache(unit, core as usize, line as usize, bit + i)
-                .unwrap_or_else(|e| panic!("cache flip rejected: {e}"));
-        },
-        wrap_modulus: |_| CACHE_LINE_BITS as u32,
-        prune: PruneCap::StaticOnly(Unmodeled::Cache),
-    },
-    Domain {
-        name: "kernelctl",
-        flag: Some("kernelctl"),
-        placement: Placement::Tail,
-        ephemeral: false,
-        enable: |s| s.kernelctl = true,
-        bits: kernelctl_bits,
-        make: |d, _, w| {
-            let runq = u64::from(d.runq_slots) * RUNQ_ENTRY_BITS;
-            if w < runq {
-                FaultTarget::RunQueue {
-                    slot: (w / RUNQ_ENTRY_BITS) as u32,
-                    bit: (w % RUNQ_ENTRY_BITS) as u32,
-                }
-            } else {
-                let w = w - runq;
-                let per_proc = u64::from(d.pages_per_proc) * PAGE_PERM_BITS;
-                FaultTarget::PagePerm {
-                    pid: (w / per_proc) as u32,
-                    page: ((w % per_proc) / PAGE_PERM_BITS) as u32,
-                    bit: (w % PAGE_PERM_BITS) as u32,
-                }
-            }
-        },
-        matches: |t| {
-            matches!(
-                t,
-                FaultTarget::RunQueue { .. } | FaultTarget::PagePerm { .. }
-            )
-        },
-        timing_core: |_| 0,
-        apply: |k, t, i| match t {
-            FaultTarget::RunQueue { slot, bit } => k.flip_runq(slot, bit + i),
-            FaultTarget::PagePerm { pid, page, bit } => k.flip_page_perm(pid, page, bit + i),
-            _ => unreachable!(),
-        },
-        // The run-queue half wraps at 32; the page-permission half at
-        // 3 (its own entry width). The registry records the wider one;
-        // the per-domain wrap test pins both hooks' arithmetic.
-        wrap_modulus: |_| RUNQ_ENTRY_BITS as u32,
-        prune: PruneCap::StaticOnly(Unmodeled::KernelCtl),
-    },
-    Domain {
-        name: "storebuf",
-        flag: Some("storebuf"),
-        placement: Placement::Tail,
-        // A pending store lives at most a handful of instructions, but
-        // a drained corruption persists in memory indefinitely — the
-        // long tail rules reconvergence probing out.
-        ephemeral: false,
-        enable: |s| s.storebuf = true,
-        bits: storebuf_bits,
-        make: |d, _, w| {
-            // Per-core entry blocks, core-major.
-            let per_core = u64::from(d.sb_entries) * STOREBUF_ENTRY_BITS;
-            FaultTarget::StoreBuf {
-                core: (w / per_core) as u32,
-                entry: ((w % per_core) / STOREBUF_ENTRY_BITS) as u32,
-                bit: (w % STOREBUF_ENTRY_BITS) as u32,
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::StoreBuf { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::StoreBuf { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::StoreBuf { core, entry, bit } = t else {
-                unreachable!()
-            };
-            k.machine_mut()
-                .flip_storebuf(core as usize, entry as usize, bit + i)
-                .unwrap_or_else(|e| panic!("store-buffer flip rejected: {e}"));
-        },
-        // `StoreBuffer::flip` wraps the bit within the entry's 97 bits:
-        // an MBU never crosses into the neighbouring entry.
-        wrap_modulus: |_| STOREBUF_ENTRY_BITS as u32,
-        prune: PruneCap::StaticOnly(Unmodeled::StoreBuf),
-    },
-    Domain {
-        name: "cachedata",
-        flag: Some("cachedata"),
-        placement: Placement::Tail,
-        ephemeral: false,
-        enable: |s| s.cachedata = true,
-        bits: cachedata_bits,
-        make: |d, _, w| {
-            // Layout: per-core L1D lines, core-major (see
-            // `cachedata_bits` for why neither L1I nor L2 is sampled).
-            let l1_unit = u64::from(d.l1_lines) * CACHE_DATA_LINE_BITS;
-            FaultTarget::CacheData {
-                core: (w / l1_unit) as u32,
-                unit: 1,
-                line: ((w % l1_unit) / CACHE_DATA_LINE_BITS) as u32,
-                bit: (w % CACHE_DATA_LINE_BITS) as u32,
-            }
-        },
-        matches: |t| matches!(t, FaultTarget::CacheData { .. }),
-        timing_core: |t| match *t {
-            FaultTarget::CacheData { core, .. } => core as usize,
-            _ => unreachable!(),
-        },
-        apply: |k, t, i| {
-            let FaultTarget::CacheData {
-                core,
-                unit,
-                line,
-                bit,
-            } = t
-            else {
-                unreachable!()
-            };
-            k.machine_mut()
-                .flip_cachedata(unit, core as usize, line as usize, bit + i)
-                .unwrap_or_else(|e| panic!("cache-data flip rejected: {e}"));
-        },
-        wrap_modulus: |_| CACHE_DATA_LINE_BITS as u32,
-        prune: PruneCap::StaticOnly(Unmodeled::CacheData),
-    },
+static DOMAINS: [&Domain; 10] = [
+    &GPR, &FPR, &FLAGS, &SKIP, &MEM, &TEXT, &CACHE, &KERNELCTL, &STOREBUF, &CACHEDATA,
 ];
 
 /// Every registered domain, space-layout order.
-pub fn domains() -> &'static [Domain] {
+pub fn domains() -> &'static [&'static Domain] {
     &DOMAINS
-}
-
-/// The registry entry a target belongs to.
-pub fn domain_of(target: &FaultTarget) -> &'static Domain {
-    domains()
-        .iter()
-        .find(|d| (d.matches)(target))
-        .expect("every FaultTarget variant has a registry entry")
 }
 
 /// The registry entry with the given [`Domain::name`], if any.
 pub fn domain_named(name: &str) -> Option<&'static Domain> {
-    domains().iter().find(|d| d.name == name)
+    domains().iter().copied().find(|d| d.name == name)
+}
+
+impl FaultTarget {
+    /// The registry entry of this target's family.
+    pub fn domain(&self) -> &'static Domain {
+        match self {
+            FaultTarget::Gpr { .. } => &GPR,
+            FaultTarget::Fpr { .. } => &FPR,
+            FaultTarget::Flag { .. } => &FLAGS,
+            FaultTarget::InstrSkip { .. } => &SKIP,
+            FaultTarget::Mem { .. } => &MEM,
+            FaultTarget::Text { .. } => &TEXT,
+            FaultTarget::CacheState { .. } => &CACHE,
+            FaultTarget::RunQueue { .. } | FaultTarget::PagePerm { .. } => &KERNELCTL,
+            FaultTarget::StoreBuf { .. } => &STOREBUF,
+            FaultTarget::CacheData { .. } => &CACHEDATA,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -714,49 +486,46 @@ mod tests {
 
     #[test]
     fn every_target_maps_to_exactly_one_domain() {
-        let targets = [
-            FaultTarget::Gpr {
-                core: 0,
-                reg: 1,
-                bit: 2,
-            },
-            FaultTarget::Fpr {
-                core: 0,
-                reg: 1,
-                bit: 2,
-            },
-            FaultTarget::Flag { core: 0, which: 1 },
-            FaultTarget::Mem { addr: 16, bit: 3 },
-            FaultTarget::Text { word: 4, bit: 5 },
-            FaultTarget::CacheState {
-                core: 0,
-                unit: 1,
-                line: 2,
-                bit: 3,
-            },
-            FaultTarget::RunQueue { slot: 0, bit: 1 },
-            FaultTarget::PagePerm {
-                pid: 0,
-                page: 1,
-                bit: 2,
-            },
-            FaultTarget::InstrSkip { core: 0 },
-            FaultTarget::StoreBuf {
-                core: 0,
-                entry: 1,
-                bit: 2,
-            },
-            FaultTarget::CacheData {
-                core: 0,
-                unit: 1,
-                line: 2,
-                bit: 3,
-            },
-        ];
-        for t in &targets {
-            let matching = domains().iter().filter(|d| (d.matches)(t)).count();
-            assert_eq!(matching, 1, "{t:?} matched {matching} domains");
+        // `FaultTarget::domain` is an exhaustive match, so every target
+        // has exactly one domain; it must be the domain whose sampler
+        // produced the target. The first, middle and last offset of
+        // every domain cover all eleven variants (kernel control's
+        // first offset is a run-queue bit, its last a page permission).
+        let space = FaultSpace {
+            flags: true,
+            mem: Some((0x1000, 16)),
+            text: true,
+            cache: true,
+            kernelctl: true,
+            skip: true,
+            storebuf: true,
+            cachedata: true,
+            ..FaultSpace::default()
+        };
+        let dims = SpaceDims {
+            runq_slots: 4,
+            procs: 2,
+            pages_per_proc: 8,
+            l1_lines: 4,
+            l2_lines: 8,
+            sb_entries: 8,
+            ..SpaceDims::bare(IsaKind::Sira64, 2, space, 10)
+        };
+        let mut variants = std::collections::HashSet::new();
+        for &domain in domains() {
+            let bits = (domain.bits)(&dims);
+            for within in [0, bits / 2, bits - 1] {
+                let target = (domain.make)(&dims, 1, within);
+                assert!(
+                    std::ptr::eq(target.domain(), domain),
+                    "{target:?} from {} maps to {}",
+                    domain.name,
+                    target.domain().name
+                );
+                variants.insert(std::mem::discriminant(&target));
+            }
         }
+        assert_eq!(variants.len(), 11);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The single-bit-upset fault model.
 //!
-//! Every per-target behaviour here — sizing, sampling, timing,
-//! ephemerality, application — is a projection of the fault-domain
-//! registry in [`crate::domain`]; this module owns only the data types
-//! and the uniform sampler's RNG discipline.
+//! This module owns the fault data types, the uniform sampler's RNG
+//! discipline and two per-target rules, each one exhaustive `match` on
+//! [`FaultTarget`]: the core whose clock times a fault
+//! ([`Fault::timing_core`]) and the flip hook that lands each upset bit
+//! ([`Fault::apply`]). Sizing, sampling and ephemerality are per-domain
+//! data in the registry ([`crate::domain`]).
 
-use crate::domain::{domain_of, domains, Placement, SpaceDims};
+use crate::domain::{domains, Placement, SpaceDims};
 use fracas_isa::IsaKind;
 use fracas_kernel::Kernel;
 use rand::rngs::StdRng;
@@ -137,10 +139,23 @@ pub struct Fault {
 }
 
 impl Fault {
-    /// The core whose clock times this fault (the registry's
-    /// [`crate::domain::Domain::timing_core`] rule).
+    /// The core whose clock times this fault: the struck core for
+    /// core-local state, core 0 for memory, text and kernel-control
+    /// state (and for the shared L2, whose targets carry core 0).
     pub fn timing_core(&self) -> usize {
-        (domain_of(&self.target).timing_core)(&self.target)
+        match self.target {
+            FaultTarget::Gpr { core, .. }
+            | FaultTarget::Fpr { core, .. }
+            | FaultTarget::Flag { core, .. }
+            | FaultTarget::InstrSkip { core }
+            | FaultTarget::CacheState { core, .. }
+            | FaultTarget::StoreBuf { core, .. }
+            | FaultTarget::CacheData { core, .. } => core as usize,
+            FaultTarget::Mem { .. }
+            | FaultTarget::Text { .. }
+            | FaultTarget::RunQueue { .. }
+            | FaultTarget::PagePerm { .. } => 0,
+        }
     }
 
     /// True when the fault strikes short-lived architectural state
@@ -151,18 +166,65 @@ impl Fault {
     /// probing would pay full state-compare cost with almost no chance
     /// of a match.
     pub fn targets_ephemeral_state(&self) -> bool {
-        domain_of(&self.target).ephemeral
+        self.target.domain().ephemeral
     }
 
     /// Applies the upset (all `width` adjacent bits) to a paused
-    /// kernel, through the target domain's registry hook. Adjacent bits
-    /// wrap within the struck word, as in a real single-word MBU; each
-    /// domain's wrap modulus is declared in its registry entry.
+    /// kernel. Adjacent bits wrap within the struck word, as in a real
+    /// single-word MBU: each flip hook reduces its bit index modulo the
+    /// struck word's width. The skip latch is a single toggle: every
+    /// bit of the upset toggles it again.
     pub fn apply(&self, kernel: &mut Kernel) {
-        let domain = domain_of(&self.target);
         for i in 0..self.width.max(1) {
-            (domain.apply)(kernel, self.target, i);
+            flip_bit(kernel, self.target, i);
         }
+    }
+}
+
+/// Flips bit `i` of an adjacent upset starting at `target`.
+fn flip_bit(kernel: &mut Kernel, target: FaultTarget, i: u32) {
+    match target {
+        FaultTarget::Gpr { core, reg, bit } => {
+            kernel.machine_mut().flip_gpr(core as usize, reg, bit + i);
+        }
+        FaultTarget::Fpr { core, reg, bit } => {
+            kernel.machine_mut().flip_fpr(core as usize, reg, bit + i);
+        }
+        FaultTarget::Flag { core, which } => {
+            kernel.machine_mut().flip_flag(core as usize, which + i)
+        }
+        FaultTarget::InstrSkip { core } => kernel.machine_mut().flip_skip(core as usize),
+        FaultTarget::Mem { addr, bit } => kernel.machine_mut().flip_mem(addr, bit + i),
+        FaultTarget::Text { word, bit } => kernel.machine_mut().flip_text(word, bit + i),
+        // A sampled coordinate is in range by construction; an `Err`
+        // from an uncore array means the sampler and the flip hook
+        // disagree about the geometry. Panic so the campaign runner
+        // surfaces it as an `Anomaly` record instead of silently
+        // dropping the flip.
+        FaultTarget::CacheState {
+            core,
+            unit,
+            line,
+            bit,
+        } => kernel
+            .machine_mut()
+            .flip_cache(unit, core as usize, line as usize, bit + i)
+            .unwrap_or_else(|e| panic!("cache flip rejected: {e}")),
+        FaultTarget::RunQueue { slot, bit } => kernel.flip_runq(slot, bit + i),
+        FaultTarget::PagePerm { pid, page, bit } => kernel.flip_page_perm(pid, page, bit + i),
+        FaultTarget::StoreBuf { core, entry, bit } => kernel
+            .machine_mut()
+            .flip_storebuf(core as usize, entry as usize, bit + i)
+            .unwrap_or_else(|e| panic!("store-buffer flip rejected: {e}")),
+        FaultTarget::CacheData {
+            core,
+            unit,
+            line,
+            bit,
+        } => kernel
+            .machine_mut()
+            .flip_cachedata(unit, core as usize, line as usize, bit + i)
+            .unwrap_or_else(|e| panic!("cache-data flip rejected: {e}")),
     }
 }
 

@@ -144,7 +144,9 @@ fn config_fingerprint(config: &CampaignConfig) -> u64 {
 /// a restarted sweep replays the file instead of re-running the work.
 ///
 /// A torn trailing line (the signature of a mid-write kill) is
-/// tolerated: replay stops at the first malformed line.
+/// tolerated: replay stops at the first malformed line, and the file is
+/// cut back to the end of the last line that parsed before anything is
+/// appended, so a resumed run's records never glue onto the fragment.
 pub struct RecordSink {
     file: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     preloaded: HashMap<String, Vec<InjectionRecord>>,
@@ -177,30 +179,44 @@ impl RecordSink {
         let fingerprint = config_fingerprint(config);
         let mut preloaded: HashMap<String, Vec<InjectionRecord>> = HashMap::new();
         let mut preloaded_audits: HashMap<String, Vec<AuditEntry>> = HashMap::new();
-        let mut resume = false;
-        if let Ok(text) = std::fs::read_to_string(path) {
-            let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-            let header: Option<SinkHeader> =
-                lines.next().and_then(|l| serde_json::from_str(l).ok());
-            if header.is_some_and(|h| h.fp == fingerprint) {
-                resume = true;
-                for line in lines {
-                    // A torn tail from a crash parses as an error: stop
-                    // replaying there and re-run the remainder.
-                    let Ok(parsed) = serde_json::from_str::<SinkLine>(line) else {
-                        break;
-                    };
-                    if let Some(r) = parsed.r {
-                        preloaded.entry(parsed.w.clone()).or_default().push(r);
-                    }
-                    if let Some(a) = parsed.a {
-                        preloaded_audits.entry(parsed.w).or_default().push(a);
-                    }
-                }
+        // The replayed prefix: the file's text up to the end of the last
+        // line that parsed, `None` when the file cannot be resumed.
+        let mut replayed: Option<&str> = None;
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        let mut end = 0;
+        for line in text.split_inclusive('\n') {
+            end += line.len();
+            if line.trim().is_empty() {
+                continue;
             }
+            if replayed.is_none() {
+                let header: Option<SinkHeader> = serde_json::from_str(line).ok();
+                if header.is_none_or(|h| h.fp != fingerprint) {
+                    break;
+                }
+                replayed = Some(&text[..end]);
+                continue;
+            }
+            // A torn tail from a crash parses as an error: stop
+            // replaying there and re-run the remainder.
+            let Ok(parsed) = serde_json::from_str::<SinkLine>(line) else {
+                break;
+            };
+            if let Some(r) = parsed.r {
+                preloaded.entry(parsed.w.clone()).or_default().push(r);
+            }
+            if let Some(a) = parsed.a {
+                preloaded_audits.entry(parsed.w).or_default().push(a);
+            }
+            replayed = Some(&text[..end]);
         }
-        let mut file = if resume {
-            std::fs::OpenOptions::new().append(true).open(path)?
+        let mut file = if let Some(prefix) = replayed {
+            let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
+            f.set_len(prefix.len() as u64)?;
+            if !prefix.ends_with('\n') {
+                f.write_all(b"\n")?;
+            }
+            f
         } else {
             let mut f = std::fs::File::create(path)?;
             writeln!(
@@ -892,15 +908,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn advance_commit_is_prefix_deterministic() {
-        let config = FleetConfig {
-            epsilon: 0.9,
-            min_samples: 3,
-            ..FleetConfig::default()
-        };
-        let record = |i: u32| InjectionRecord {
-            index: i,
+    fn record(index: u32) -> InjectionRecord {
+        InjectionRecord {
+            index,
             fault: Fault {
                 target: crate::FaultTarget::Gpr {
                     core: 0,
@@ -914,6 +924,55 @@ mod tests {
             cycles: 1,
             instructions: 1,
             rep: None,
+        }
+    }
+
+    #[test]
+    fn torn_sink_tail_is_cut_before_appending() {
+        let path = std::env::temp_dir().join(format!("fracas-torn-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let config = CampaignConfig::default();
+        let append = |sink: &RecordSink, indices: std::ops::Range<u32>| {
+            let batch: Vec<_> = indices.map(|i| (None, record(i))).collect();
+            sink.append("w", &batch);
+        };
+        let replayed = |sink: &RecordSink| -> Vec<u32> {
+            sink.preloaded("w").iter().map(|r| r.index).collect()
+        };
+        let cut = |bytes: u64| {
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            let len = file.metadata().unwrap().len();
+            file.set_len(len - bytes).unwrap();
+        };
+        append(&RecordSink::open(&path, &config).unwrap(), 0..3);
+        // A kill mid-write tears record 2's line.
+        cut(10);
+        let sink = RecordSink::open(&path, &config).unwrap();
+        assert_eq!(replayed(&sink), [0, 1]);
+        append(&sink, 2..5);
+        drop(sink);
+        let sink = RecordSink::open(&path, &config).unwrap();
+        assert_eq!(replayed(&sink), [0, 1, 2, 3, 4]);
+        drop(sink);
+        // A last line that parses but lost its newline is kept, and the
+        // next record starts a line of its own.
+        cut(1);
+        let sink = RecordSink::open(&path, &config).unwrap();
+        assert_eq!(replayed(&sink), [0, 1, 2, 3, 4]);
+        append(&sink, 5..6);
+        drop(sink);
+        let sink = RecordSink::open(&path, &config).unwrap();
+        assert_eq!(replayed(&sink), [0, 1, 2, 3, 4, 5]);
+        drop(sink);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn advance_commit_is_prefix_deterministic() {
+        let config = FleetConfig {
+            epsilon: 0.9,
+            min_samples: 3,
+            ..FleetConfig::default()
         };
         // Out-of-order arrival: the commit point only advances over the
         // hole-free prefix, and the stop index lands on the first

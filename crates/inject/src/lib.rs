@@ -74,12 +74,10 @@ pub use campaign::{
 pub use checkpoint::CheckpointSet;
 pub use classes::{class_plan, ClassPlan, ClassStats};
 pub use classify::{classify, Outcome};
-pub use domain::{
-    domain_named, domain_of, domains, Domain, OracleMap, Placement, PruneCap, SpaceDims,
-};
+pub use domain::{domain_named, domains, Domain, Placement, SpaceDims};
 pub use fault::{sample_faults, sample_space, Fault, FaultSpace, FaultTarget};
 pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };
 pub use fracas_analyze::Horizon;
-pub use prune::{Unmodeled, UnmodeledCounts};
+pub use prune::{prune_cap, PruneCap, Unmodeled, UnmodeledCounts};

@@ -1,6 +1,7 @@
-//! Fault-to-oracle projection for `--prune-classes`: mapping sampled
-//! faults onto the `fracas-analyze` oracle's coordinates, and the
-//! accounting of targets outside its model.
+//! Fault-to-oracle projection for `--prune-classes`: what the prune
+//! oracle can decide about each fault target, the oracle coordinates of
+//! the targets it fingerprints, and the accounting of targets outside
+//! its model.
 //!
 //! The contract the decided tier of the class plan upholds is
 //! *byte-identity*: a pruned campaign's record stream must equal the
@@ -18,19 +19,18 @@
 //! decided by the oracle's decode-differential layer
 //! (`fracas_analyze::textfault`).
 //!
-//! What each fault domain lets the oracle decide is declared in its
-//! registry entry ([`crate::domain::Domain::prune`]); this module
-//! projects those capabilities into per-fault decisions. Domains with
-//! only the static landing rule ([`crate::domain::PruneCap::StaticOnly`]
-//! — the uncore and skip domains) prune *only* the provably-unapplied
-//! case: a fault whose timing core never reaches its injection cycle is
-//! never applied, so its run is the golden run and Vanished with golden
-//! counts is exact. Every other fault of such a domain runs for real
-//! and is tallied in its explicit [`Unmodeled`] bucket.
+//! [`prune_cap`] is one exhaustive `match` on the fault target. Targets
+//! the oracle cannot fingerprint never prune silently: each names an
+//! explicit [`Unmodeled`] bucket. Targets with only the static landing
+//! rule ([`PruneCap::StaticOnly`] — the uncore and skip domains) prune
+//! *only* the provably-unapplied case: a fault whose timing core never
+//! reaches its injection cycle is never applied, so its run is the
+//! golden run and Vanished with golden counts is exact. Every other
+//! fault of such a domain runs for real and is tallied in its bucket.
+//! Both paths keep pruned databases byte-identical to unpruned ones.
 
-use crate::domain::{domain_of, PruneCap};
-use crate::{Fault, Outcome};
-use fracas_analyze::{PruneOracle, PruneTarget};
+use crate::{Fault, FaultTarget};
+use fracas_analyze::PruneTarget;
 use fracas_isa::IsaKind;
 
 /// Why a fault target is outside the oracle's model. Such faults always
@@ -95,42 +95,63 @@ impl Unmodeled {
     }
 }
 
-/// What the prune layer concluded about one fault, before any verdict
-/// lookup: synthesize a proven outcome, consult the interval oracle at
-/// the mapped coordinates, or run for real in a named bucket — the
-/// class planner's first step for every fault.
-pub(crate) enum Decision {
-    /// The outcome is proven without consulting interval verdicts (a
-    /// static-only domain's fault provably never applied: the run is
-    /// the golden run).
-    Verdict(Outcome),
-    /// The fault maps onto the interval oracle at these coordinates.
+/// What the prune oracle can decide about one fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PruneCap {
+    /// Fully fingerprintable at these interval-oracle coordinates: the
+    /// fault's timing core and the oracle-facing location, with the
+    /// injector's wrap rules applied.
     Oracle(usize, PruneTarget),
-    /// The fault must run for real, tallied in this bucket.
+    /// Only the landing rule applies: a fault whose timing core never
+    /// reaches its cycle is provably Vanished (the run is the golden
+    /// run); an applied fault runs for real, counted in the named
+    /// bucket.
+    StaticOnly(Unmodeled),
+    /// The oracle has no model at all: the fault runs for real, counted
+    /// in the named bucket.
     Unmodeled(Unmodeled),
 }
 
-/// Decides how one fault prunes, from its domain's registry capability:
-/// oracle-mapped domains project through their coordinate map,
-/// static-only domains prune the provably-unapplied case via
-/// [`PruneOracle::applied`], and unmodeled domains always run for real.
-pub(crate) fn prune_decision(oracle: &PruneOracle, isa: IsaKind, fault: &Fault) -> Decision {
-    match domain_of(&fault.target).prune {
-        PruneCap::Oracle(map) => match map(isa, fault) {
-            Ok((core, target)) => Decision::Oracle(core, target),
-            Err(reason) => Decision::Unmodeled(reason),
+/// What the prune oracle can decide about `fault` on `isa`. A
+/// fingerprintable fault's oracle core is its timing core, the core
+/// whose clock its cycle counts.
+pub fn prune_cap(isa: IsaKind, fault: &Fault) -> PruneCap {
+    let target = match fault.target {
+        FaultTarget::Gpr { reg, .. } => match isa {
+            IsaKind::Sira32 if reg % 16 == 15 => PruneTarget::Pc,
+            IsaKind::Sira32 => PruneTarget::Gpr { reg: reg % 16 },
+            IsaKind::Sira64 => PruneTarget::Gpr { reg: reg % 32 },
         },
-        PruneCap::StaticOnly(reason) => {
-            match oracle.applied(fault.timing_core(), fault.cycle) {
-                // The timing core halts before the injection cycle: the
-                // fault is never applied, the "faulty" run is the golden
-                // run, and Vanished with golden counts is exact.
-                Some(false) => Decision::Verdict(Outcome::Vanished),
-                _ => Decision::Unmodeled(reason),
+        FaultTarget::Fpr { reg, .. } => match isa {
+            IsaKind::Sira32 => return PruneCap::Unmodeled(Unmodeled::Sira32Fpr),
+            IsaKind::Sira64 => PruneTarget::Fpr { reg: reg % 32 },
+        },
+        FaultTarget::Flag { which, .. } => {
+            let mut mask = 0u8;
+            for i in 0..fault.width.max(1) {
+                mask |= 1 << ((which + i) % 4);
             }
+            PruneTarget::Flags { mask }
         }
-        PruneCap::Unmodeled(reason) => Decision::Unmodeled(reason),
-    }
+        FaultTarget::Text { word, bit } => {
+            // `flip_text` wraps the bit index within the word, so any
+            // width folds to one XOR mask on one word.
+            let mut mask = 0u32;
+            for i in 0..fault.width.max(1) {
+                mask |= 1 << ((bit + i) % 32);
+            }
+            PruneTarget::Text { word, mask }
+        }
+        FaultTarget::Mem { .. } => return PruneCap::Unmodeled(Unmodeled::Mem),
+        FaultTarget::InstrSkip { .. } => return PruneCap::StaticOnly(Unmodeled::Skip),
+        FaultTarget::CacheState { .. } => return PruneCap::StaticOnly(Unmodeled::Cache),
+        FaultTarget::RunQueue { .. } | FaultTarget::PagePerm { .. } => {
+            return PruneCap::StaticOnly(Unmodeled::KernelCtl)
+        }
+        FaultTarget::StoreBuf { .. } => return PruneCap::StaticOnly(Unmodeled::StoreBuf),
+        FaultTarget::CacheData { .. } => return PruneCap::StaticOnly(Unmodeled::CacheData),
+    };
+    PruneCap::Oracle(fault.timing_core(), target)
 }
 
 /// Per-campaign tallies of faults outside the oracle's model, one
@@ -179,23 +200,25 @@ impl UnmodeledCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultTarget;
 
-    /// `fault` projected through its domain's registry coordinate map
-    /// (the domain must be oracle-mapped).
+    /// `fault`'s oracle coordinates, or its bucket when it must run.
     fn mapped(isa: IsaKind, fault: &Fault) -> Result<(usize, PruneTarget), Unmodeled> {
-        match domain_of(&fault.target).prune {
-            PruneCap::Oracle(map) => map(isa, fault),
-            _ => panic!("{:?} is not oracle-mapped", fault.target),
+        match prune_cap(isa, fault) {
+            PruneCap::Oracle(core, target) => Ok((core, target)),
+            PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => Err(reason),
         }
     }
 
-    /// The bucket `target`'s domain names for the faults the interval
-    /// oracle cannot model.
+    /// The bucket of a target the interval oracle cannot model.
     fn bucket(target: &FaultTarget) -> Unmodeled {
-        match domain_of(target).prune {
+        let fault = Fault {
+            target: *target,
+            cycle: 0,
+            width: 1,
+        };
+        match prune_cap(IsaKind::Sira64, &fault) {
             PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => reason,
-            PruneCap::Oracle(_) => panic!("{target:?} is oracle-mapped"),
+            PruneCap::Oracle(..) => panic!("{target:?} is oracle-mapped"),
         }
     }
 

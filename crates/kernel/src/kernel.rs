@@ -464,10 +464,12 @@ impl Kernel {
         }
         // Core election over the dense clock mirror — the same rule as
         // `Machine::next_core` (lowest clock wins, ties to the lowest
-        // id) plus the conservative election cap of
-        // `Machine::schedule_probe` (the raw second-lowest runnable
-        // clock: at worst one cycle short of the exact boundary, which
-        // only ends a burst a step early, never late).
+        // id) — plus the elected core's election cap: while its clock
+        // stays below the cap, re-running the election picks it again,
+        // so consecutive steps batch into one burst. The exact boundary
+        // is `min_j(cy_j + (j > i))`; the raw second-lowest runnable
+        // clock errs at most one cycle low, which only ends a burst a
+        // step early, never late.
         let mut wall = 0u64;
         let mut best: Option<(u64, usize)> = None;
         let mut elect_cap = u64::MAX;

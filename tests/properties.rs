@@ -339,17 +339,58 @@ proptest! {
     }
 }
 
-/// A width equal to a domain's declared wrap modulus upsets the whole
-/// struck word exactly once — regardless of which bit the upset starts
-/// at. That pins each registry `wrap_modulus` to the flip hooks' actual
-/// wrapping arithmetic, domain by domain (including the historical
-/// implicit flag wrap at 4, now declared).
+/// A one-core SIRA-64 kernel that has loaded eight lines of its data
+/// segment, and the index of a core-0 L1D line a data strike lands on
+/// (a strike on an empty line masks).
+fn warm_l1d() -> (fracas_kernel::Kernel, u32) {
+    use fracas_inject::{Fault, FaultTarget};
+    let mut asm = Asm::new(IsaKind::Sira64);
+    asm.data_zero("buf", 512);
+    asm.global_fn("_start");
+    asm.lea_data(Reg(2), "buf");
+    for line in 0..8 {
+        asm.ld(Reg(3), Reg(2), line * 64);
+    }
+    asm.halt();
+    let image = link(IsaKind::Sira64, &[asm.into_object()]).expect("link");
+    let spec = fracas_kernel::BootSpec::serial();
+    let mut kernel = fracas_kernel::Kernel::boot(&image, 1, spec);
+    kernel.run(&fracas_kernel::Limits::default());
+    let fresh = kernel.snapshot();
+    let line = (0..spec.cache.l1_lines())
+        .find(|&line| {
+            let strike = Fault {
+                target: FaultTarget::CacheData {
+                    core: 0,
+                    unit: 1,
+                    line,
+                    bit: 0,
+                },
+                cycle: 0,
+                width: 1,
+            };
+            strike.apply(&mut kernel);
+            let landed = !kernel.state_matches(&fresh);
+            strike.apply(&mut kernel);
+            landed
+        })
+        .expect("a loaded line is resident");
+    (kernel, line)
+}
+
+/// A width equal to a domain's wrap modulus — the width of the struck
+/// word — upsets the whole word exactly once, regardless of which bit
+/// the upset starts at. That pins each flip hook's wrapping arithmetic
+/// to a literal modulus, domain by domain (on SIRA-64, whose GPR words
+/// are 64 bits wide).
 #[test]
 fn mbu_width_wraps_at_each_domains_declared_modulus() {
-    use fracas_inject::{domain_of, Fault, FaultTarget};
+    use fracas_inject::{Fault, FaultTarget};
+    let (_, line) = warm_l1d();
     let cases = [
-        // (same word, two different starting bits)
+        // (modulus, same word at two different starting bits)
         (
+            64,
             FaultTarget::Gpr {
                 core: 0,
                 reg: 1,
@@ -362,6 +403,7 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
             },
         ),
         (
+            64,
             FaultTarget::Fpr {
                 core: 1,
                 reg: 3,
@@ -374,18 +416,22 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
             },
         ),
         (
+            4,
             FaultTarget::Flag { core: 0, which: 0 },
             FaultTarget::Flag { core: 0, which: 3 },
         ),
         (
+            8,
             FaultTarget::Mem { addr: 64, bit: 0 },
             FaultTarget::Mem { addr: 64, bit: 5 },
         ),
         (
+            32,
             FaultTarget::Text { word: 0, bit: 0 },
             FaultTarget::Text { word: 0, bit: 31 },
         ),
         (
+            40,
             FaultTarget::CacheState {
                 core: 1,
                 unit: 1,
@@ -400,6 +446,7 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
             },
         ),
         (
+            32,
             FaultTarget::RunQueue { slot: 0, bit: 0 },
             FaultTarget::RunQueue { slot: 0, bit: 30 },
         ),
@@ -407,6 +454,7 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
         // from any starting bit flips the whole entry and never crosses
         // into its neighbour.
         (
+            97,
             FaultTarget::StoreBuf {
                 core: 1,
                 entry: 2,
@@ -419,25 +467,31 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
             },
         ),
         (
+            512,
             FaultTarget::CacheData {
                 core: 0,
                 unit: 1,
-                line: 3,
+                line,
                 bit: 0,
             },
             FaultTarget::CacheData {
                 core: 0,
                 unit: 1,
-                line: 3,
+                line,
                 bit: 511,
             },
         ),
     ];
-    for (a, b) in cases {
-        let domain = domain_of(&a);
-        let width = (domain.wrap_modulus)(IsaKind::Sira64);
-        let (mut ka, _) = registry_fixture();
-        let (mut kb, _) = registry_fixture();
+    for (width, a, b) in cases {
+        let domain = a.domain();
+        // A data strike needs a resident line; the registry fixture
+        // never runs, so its L1D is empty.
+        let fixture = || match a {
+            FaultTarget::CacheData { .. } => warm_l1d().0,
+            _ => registry_fixture().0,
+        };
+        let (mut ka, mut kb) = (fixture(), fixture());
+        let fresh = ka.snapshot();
         Fault {
             target: a,
             cycle: 0,
@@ -458,11 +512,17 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
             a,
             b
         );
+        // A hook wrapping at a divisor of the modulus would flip each
+        // bit an even number of times and leave the word unchanged.
+        assert!(
+            !ka.state_matches(&fresh),
+            "domain {}: a width-{width} upset at {a:?} changed nothing",
+            domain.name
+        );
     }
     // The page-permission half of the kernel-control domain wraps at its
-    // own 3-bit entry width (narrower than the domain's declared
-    // run-queue modulus): width 3 upsets all of read/write/execute from
-    // any starting bit.
+    // own 3-bit entry width (narrower than the run-queue half's 32):
+    // width 3 upsets all of read/write/execute from any starting bit.
     let (mut ka, _) = registry_fixture();
     let (mut kb, _) = registry_fixture();
     for (k, bit) in [(&mut ka, 0), (&mut kb, 2)] {
@@ -496,24 +556,92 @@ fn mbu_width_wraps_at_each_domains_declared_modulus() {
     assert!(!k.state_matches(&idle), "odd skip widths arm the latch");
 }
 
-/// The registry's declared moduli themselves (so a silent registry edit
-/// can't weaken the wrap test above).
+/// The literal moduli above are the word widths the sampler lays out:
+/// in every domain, the offset one modulus past a word's first bit
+/// decodes to the next word's first bit (flags and the skip latch are
+/// one word per core). So an upset of at most that width never leaves
+/// the word the sampler drew, and a change to either side — flip hook
+/// or sampling layout — shows in one of the two tests.
 #[test]
 fn declared_wrap_moduli_match_the_word_widths() {
-    let modulus = |name: &str, isa| {
-        (fracas_inject::domain_named(name)
-            .expect("registered")
-            .wrap_modulus)(isa)
+    use fracas_inject::{domain_named, FaultTarget, SpaceDims};
+    let (_, dims) = registry_fixture();
+    let make = |dims: &SpaceDims, name: &str, within: u64| {
+        (domain_named(name).expect("registered").make)(dims, 0, within)
     };
-    assert_eq!(modulus("gpr", IsaKind::Sira32), 32);
-    assert_eq!(modulus("gpr", IsaKind::Sira64), 64);
-    assert_eq!(modulus("fpr", IsaKind::Sira64), 64);
-    assert_eq!(modulus("flags", IsaKind::Sira32), 4);
-    assert_eq!(modulus("mem", IsaKind::Sira64), 8);
-    assert_eq!(modulus("text", IsaKind::Sira32), 32);
-    assert_eq!(modulus("cache", IsaKind::Sira64), 40);
-    assert_eq!(modulus("kernelctl", IsaKind::Sira64), 32);
-    assert_eq!(modulus("skip", IsaKind::Sira64), 1);
-    assert_eq!(modulus("storebuf", IsaKind::Sira64), 97);
-    assert_eq!(modulus("cachedata", IsaKind::Sira64), 512);
+    let bits = |name: &str| (domain_named(name).expect("registered").bits)(&dims);
+    let sira32 = SpaceDims {
+        isa: IsaKind::Sira32,
+        ..dims
+    };
+    assert_eq!(
+        make(&sira32, "gpr", 32),
+        FaultTarget::Gpr {
+            core: 0,
+            reg: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(
+        make(&dims, "gpr", 64),
+        FaultTarget::Gpr {
+            core: 0,
+            reg: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(
+        make(&dims, "fpr", 64),
+        FaultTarget::Fpr {
+            core: 0,
+            reg: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(bits("flags"), 4);
+    assert_eq!(bits("skip"), 1);
+    assert_eq!(make(&dims, "mem", 8), FaultTarget::Mem { addr: 1, bit: 0 });
+    assert_eq!(
+        make(&dims, "text", 32),
+        FaultTarget::Text { word: 1, bit: 0 }
+    );
+    assert_eq!(
+        make(&dims, "cache", 40),
+        FaultTarget::CacheState {
+            core: 0,
+            unit: 0,
+            line: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(
+        make(&dims, "kernelctl", 32),
+        FaultTarget::RunQueue { slot: 1, bit: 0 }
+    );
+    let runq = u64::from(dims.runq_slots) * 32;
+    assert_eq!(
+        make(&dims, "kernelctl", runq + 3),
+        FaultTarget::PagePerm {
+            pid: 0,
+            page: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(
+        make(&dims, "storebuf", 97),
+        FaultTarget::StoreBuf {
+            core: 0,
+            entry: 1,
+            bit: 0
+        }
+    );
+    assert_eq!(
+        make(&dims, "cachedata", 512),
+        FaultTarget::CacheData {
+            core: 0,
+            unit: 1,
+            line: 1,
+            bit: 0
+        }
+    );
 }
