@@ -109,7 +109,7 @@ fn build_workload(
 fn oracle_coords(isa: IsaKind, fault: &Fault) -> Option<(usize, PruneTarget)> {
     match prune_cap(isa, fault) {
         PruneCap::Oracle(core, target) => Some((core, target)),
-        PruneCap::StaticOnly(_) | PruneCap::Unmodeled(_) => None,
+        PruneCap::StaticOnly | PruneCap::Unmodeled => None,
     }
 }
 

@@ -5,7 +5,6 @@
 //! ```
 
 use fracas::isa::Section;
-use fracas::mine::parse_id;
 use fracas::npb::Scenario;
 
 fn main() {
@@ -13,12 +12,8 @@ fn main() {
     let id = args.next().unwrap_or_else(|| "is-ser-1-sira64".to_string());
     let max: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(120);
 
-    let Some(key) = parse_id(&id) else {
-        eprintln!("unparseable scenario id `{id}` (expected e.g. ft-mpi-4-sira64)");
-        std::process::exit(2);
-    };
-    let Some(scenario) = Scenario::new(key.app, key.model, key.cores, key.isa) else {
-        eprintln!("scenario `{id}` does not exist in the suite");
+    let Some(scenario) = Scenario::from_id(&id) else {
+        eprintln!("no suite scenario has id `{id}` (expected e.g. ft-mpi-4-sira64)");
         std::process::exit(2);
     };
     let image = scenario.build().unwrap_or_else(|e| panic!("{id}: {e}"));

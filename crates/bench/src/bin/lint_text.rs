@@ -1,38 +1,31 @@
 //! Binary-level dead-write lint over linked NPB images: runs
 //! `fracas_lang::check_text_warnings` (CFG + liveness projections of
 //! `fracas_isa::effects`) on every selected scenario's text section and
-//! reports emitted-but-provably-dead register writes.
+//! prints its count of emitted-but-provably-dead register writes.
 //!
 //! ```text
 //! lint_text [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] [--cores N]
-//!           [--max N] [--baseline PATH] [--bless] [--verbose]
+//!           [--verbose]
 //! ```
 //!
-//! The corpus is not warning-free: the O1 backend materialises FL's
-//! mandatory literal `let` initializers even when a loop init
-//! immediately rewrites the register (the same pattern the AST lint
-//! exempts by design). Two regression gates exist:
-//!
-//! * `--max N` — exit 1 when the total exceeds a flat budget.
-//! * `--baseline PATH` — exit 1 when any *per-scenario* count drifts
-//!   from the checked-in blessed file (`baselines/lint_text.txt`; CI's
-//!   gate). `--bless` regenerates the file from the current build
-//!   instead of comparing, so an intentional backend change is a
-//!   one-command re-bless with a reviewable diff.
+//! Output is one `<id> <count>` line per scenario, then `total <n>`;
+//! `--verbose` lists each warning under its scenario. The corpus is not
+//! warning-free: the O1 backend materialises FL's mandatory literal
+//! `let` initializers even when a loop init immediately rewrites the
+//! register (the same pattern the AST lint exempts by design). The
+//! counts are pinned like every other report: CI diffs the full-suite
+//! output against `baselines/lint_text.txt`, so an intentional backend
+//! change re-records that file and shows the drift in its diff.
 
 use fracas::inject::Workload;
 use fracas::lang::check_text_warnings;
 use fracas_bench::cli::{Parser, ScenarioFilter};
-use std::path::PathBuf;
 
 const USAGE: &str = "lint_text [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
-     [--cores N] [--max N] [--baseline PATH] [--bless] [--verbose]";
+     [--cores N] [--verbose]";
 
 fn main() {
     let mut filter = ScenarioFilter::default();
-    let mut max: Option<usize> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut bless = false;
     let mut verbose = false;
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
@@ -40,99 +33,21 @@ fn main() {
             continue;
         }
         match flag.as_str() {
-            "--max" => max = Some(p.parsed(&flag)),
-            "--baseline" => baseline = Some(PathBuf::from(p.value(&flag))),
-            "--bless" => bless = true,
             "--verbose" => verbose = true,
             other => p.unknown(other),
         }
     }
-    if bless && baseline.is_none() {
-        eprintln!("--bless requires --baseline PATH");
-        p.usage();
-    }
-    let scenarios = filter.scenarios();
-    let mut counts: Vec<(String, usize)> = Vec::new();
     let mut total = 0usize;
-    for s in &scenarios {
+    for s in &filter.scenarios() {
         let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
         let warnings = check_text_warnings(s.isa, &workload.image.text);
-        if !warnings.is_empty() {
-            println!("{}: {} dead write(s)", s.id(), warnings.len());
-            if verbose {
-                for w in &warnings {
-                    println!("  {w}");
-                }
+        println!("{} {}", s.id(), warnings.len());
+        if verbose {
+            for w in &warnings {
+                println!("  {w}");
             }
-            total += warnings.len();
         }
-        counts.push((s.id(), warnings.len()));
+        total += warnings.len();
     }
-    println!(
-        "text lint: {total} dead write(s) across {} image(s)",
-        counts.len()
-    );
-    if let Some(path) = &baseline {
-        if bless {
-            let mut text = String::from(
-                "# Blessed per-scenario dead-write counts; regenerate with\n\
-                 # `lint_text --baseline <this file> --bless` after an\n\
-                 # intentional backend change.\n",
-            );
-            for (id, n) in &counts {
-                text.push_str(&format!("{id} {n}\n"));
-            }
-            text.push_str(&format!("total {total}\n"));
-            std::fs::write(path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-            println!("blessed {} scenario(s) -> {}", counts.len(), path.display());
-            return;
-        }
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let mut expected = std::collections::HashMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (id, n) = line.rsplit_once(' ').unwrap_or_else(|| {
-                panic!("malformed baseline line {line:?} in {}", path.display())
-            });
-            let n: usize = n
-                .parse()
-                .unwrap_or_else(|_| panic!("bad count in baseline line {line:?}"));
-            expected.insert(id.to_string(), n);
-        }
-        let mut drifted = 0usize;
-        for (id, n) in &counts {
-            match expected.get(id) {
-                Some(want) if want == n => {}
-                Some(want) => {
-                    println!("DRIFT {id}: {n} dead write(s), baseline says {want}");
-                    drifted += 1;
-                }
-                None => {
-                    println!("DRIFT {id}: {n} dead write(s), not in baseline");
-                    drifted += 1;
-                }
-            }
-        }
-        if drifted > 0 {
-            println!(
-                "{drifted} scenario(s) drifted from {}; if intentional, re-bless with \
-                 `lint_text --baseline {} --bless`",
-                path.display(),
-                path.display()
-            );
-            std::process::exit(1);
-        }
-        println!("matches baseline {} ({total} dead writes)", path.display());
-    }
-    if let Some(budget) = max {
-        if total > budget {
-            println!("budget exceeded: {total} > {budget}");
-            std::process::exit(1);
-        }
-        println!("within budget ({total} <= {budget})");
-    }
+    println!("total {total}");
 }

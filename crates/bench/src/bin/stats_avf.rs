@@ -69,12 +69,7 @@ fn main() {
         for scenario in &scenarios {
             let avf = analyze_scenario(scenario);
             let campaign = db
-                .get(fracas::mine::Key {
-                    app: scenario.app,
-                    model: scenario.model,
-                    cores: scenario.cores,
-                    isa: scenario.isa,
-                })
+                .get(scenario)
                 .expect("ensure_db swept this scenario")
                 .clone();
             let crit = register_criticality(&Database::from_campaigns(vec![campaign]), isa);

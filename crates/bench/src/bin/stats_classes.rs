@@ -1,7 +1,7 @@
 //! Plan-side collapse report for `--prune-classes`: per-scenario
 //! equivalence-class statistics over the sampled fault list — executed
 //! fraction, collapse factor, decided/live/member/singleton breakdown
-//! and per-reason unmodeled-target counts — without running a single
+//! and per-domain unmodeled-target counts — without running a single
 //! injection (each scenario costs one traced golden run).
 //!
 //! ```text
@@ -17,9 +17,8 @@
 //! space is instruction-memory bits instead of registers, and the gate
 //! checks the decode-differential collapse (`--app EP --gate 0.6`).
 
-use fracas::inject::{
-    campaign_faults, class_plan, golden_trace, ClassStats, FaultSpace, Unmodeled, Workload,
-};
+use fracas::inject::domain::{FPR, MEM};
+use fracas::inject::{campaign_faults, class_plan, golden_trace, ClassStats, FaultSpace, Workload};
 use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
@@ -39,8 +38,8 @@ fn row(label: &str, stats: &ClassStats) {
         stats.live_classes,
         stats.members,
         stats.singletons,
-        stats.unmodeled.count(Unmodeled::Sira32Fpr),
-        stats.unmodeled.count(Unmodeled::Mem),
+        stats.unmodeled.count(&FPR),
+        stats.unmodeled.count(&MEM),
         stats.executed_fraction() * 100.0,
         stats.collapse_factor()
     );

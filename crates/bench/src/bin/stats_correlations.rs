@@ -2,6 +2,7 @@
 //! profile metric against every outcome rate, over the full campaign
 //! database (and per-ISA slices).
 
+use fracas::isa::IsaKind;
 use fracas::mine::{correlation_matrix, strongest, RATES};
 use fracas::npb::Scenario;
 
@@ -33,8 +34,10 @@ fn main() {
         &format!("Correlation matrix over all {} campaigns:", db.len()),
         &all,
     );
-    for isa in ["sira32", "sira64"] {
-        let m = correlation_matrix(&db, |c| c.id.ends_with(isa));
+    for isa in IsaKind::ALL {
+        let m = correlation_matrix(&db, |c| {
+            Scenario::from_id(&c.id).is_some_and(|s| s.isa == isa)
+        });
         print_matrix(&format!("{isa} slice:"), &m);
     }
     println!("Strongest relationships overall:");

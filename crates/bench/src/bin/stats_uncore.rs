@@ -12,18 +12,21 @@
 //! ```
 //!
 //! Defaults to the paper's EP programming-model × ISA matrix (pass
-//! `--app` to override). One class-pruned campaign per scenario *per
-//! domain* — a combined space would be useless here, because the L2
-//! metadata bits outnumber the skip bits five orders of magnitude and
-//! uniform sampling would never draw a skip — plus one over the
-//! register baseline. With `--gate`, accounting violations fail the
-//! run; it is the CI hook behind the "no silent `None`" guarantee:
+//! `--app` to override). One class-pruned fleet sweep over every
+//! selected scenario *per domain* — a combined space would be useless
+//! here, because the L2 metadata bits outnumber the skip bits five
+//! orders of magnitude and uniform sampling would never draw a skip —
+//! plus one over the register baseline; each sweep overlaps its
+//! scenarios in the fleet's shared worker pool. With `--gate`,
+//! accounting violations fail the run; it is the CI hook behind the
+//! "no silent `None`" guarantee:
 //!
 //! * every uncore fault is either statically decided (provably never
-//!   applied → Vanished) or tallied in its explicit per-domain
-//!   [`Unmodeled`] bucket;
-//! * no uncore fault lands in a foreign bucket (any bucket but the
-//!   campaign domain's own);
+//!   applied → Vanished) or counted under its registry domain in the
+//!   class statistics' unmodeled counts
+//!   ([`UnmodeledCounts`](fracas::inject::UnmodeledCounts));
+//! * no uncore fault is counted under another domain than the
+//!   campaign's own;
 //! * no harness anomalies anywhere;
 //! * no domain is *vacuous* — a domain whose sampled faults all come
 //!   back Vanished over a nonzero aggregate sample cannot distinguish
@@ -33,8 +36,10 @@
 //!   sample resolution).
 
 use fracas::analyze::{analyze_skips, skip_class, PruneOracle, SkipClass, SkipComposition};
+use fracas::inject::domain::{CACHE, CACHEDATA, KERNELCTL, SKIP, STOREBUF};
 use fracas::inject::{
-    run_campaign, ClassStats, FaultSpace, FaultTarget, Outcome, Tally, Unmodeled, Workload,
+    golden_trace, run_fleet, CampaignConfig, CampaignResult, ClassStats, Domain, FaultSpace,
+    FaultTarget, FleetConfig, Outcome, Tally, Workload,
 };
 use fracas::mine::labeled_outcome_table;
 use fracas::npb::App;
@@ -44,11 +49,15 @@ use std::time::Instant;
 const USAGE: &str = "stats_uncore [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
      [--cores N] [--faults N] [--seed N] [--gate]";
 
-/// The registry domains under report, display order.
-const UNCORE: [&str; 5] = ["cache", "kernelctl", "skip", "storebuf", "cachedata"];
-
-/// Masking-rate column labels, parallel to [`UNCORE`].
-const SHORT: [&str; 5] = ["cache%", "kctl%", "skip%", "sbuf%", "cdata%"];
+/// The registry domains under report, display order, with their
+/// masking-rate column labels.
+static UNCORE: [(&Domain, &str); 5] = [
+    (&CACHE, "cache%"),
+    (&KERNELCTL, "kctl%"),
+    (&SKIP, "skip%"),
+    (&STOREBUF, "sbuf%"),
+    (&CACHEDATA, "cdata%"),
+];
 
 /// Domains documented as expected-quiet, with the reason: for these a
 /// 100%-Vanished aggregate at smoke sample sizes is the *expected*
@@ -58,26 +67,16 @@ const SHORT: [&str; 5] = ["cache%", "kctl%", "skip%", "sbuf%", "cdata%"];
 /// a smoke sample can be required to exhibit deterministically. Every
 /// other domain must show life or the gate fails — the check that
 /// caught the cache-data dilution regression.
-const EXPECTED_QUIET: [(&str, &str); 2] = [
+static EXPECTED_QUIET: [(&Domain, &str); 2] = [
     (
-        "cache",
+        &CACHE,
         "timing-only metadata: values live in the L1D/store-buffer layers",
     ),
     (
-        "kernelctl",
+        &KERNELCTL,
         "measured ~0.1% UT rate, below smoke-sample resolution",
     ),
 ];
-
-/// The [`Unmodeled`] bucket a domain's own applied faults must land in:
-/// the one named after the domain. Anything else is a foreign-bucket
-/// accounting violation.
-fn own_bucket(name: &str) -> Unmodeled {
-    Unmodeled::ALL
-        .into_iter()
-        .find(|u| u.name() == name)
-        .unwrap_or_else(|| panic!("no unmodeled bucket named {name}"))
-}
 
 fn main() {
     let mut opts = SweepOpts::default();
@@ -99,8 +98,6 @@ fn main() {
     }
     let mut base = opts.config(USAGE).fleet.campaign;
     base.prune_classes = true;
-    let mut reg_config = base.clone();
-    reg_config.space = FaultSpace::default();
     let scenarios = opts.filter.scenarios();
     eprintln!(
         "uncore campaigns over {} scenario(s), {} domains x {} faults each (seed {})...",
@@ -110,18 +107,39 @@ fn main() {
         base.seed
     );
     let start = Instant::now();
+    let workloads: Vec<Workload> = scenarios
+        .iter()
+        .map(|s| Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id())))
+        .collect();
+    // One fleet sweep per fault space over every scenario: campaign
+    // `i` of a sweep is scenario `i`'s.
+    let sweep = |space: FaultSpace| -> Vec<CampaignResult> {
+        let campaign = CampaignConfig {
+            space,
+            ..base.clone()
+        };
+        run_fleet(
+            &workloads,
+            &FleetConfig {
+                campaign,
+                ..FleetConfig::default()
+            },
+        )
+    };
+    let reg_sweep = sweep(FaultSpace::default());
+    let uncore_sweeps: Vec<Vec<CampaignResult>> = UNCORE
+        .iter()
+        .map(|(domain, _)| sweep(FaultSpace::only(domain.name)))
+        .collect();
     let mut header = format!("{:<22} {:>5} |", "scenario", "flts");
-    for label in SHORT {
+    for (_, label) in UNCORE {
         header.push_str(&format!(" {label:>6}"));
     }
     header.push_str(&format!(" | {:>6} | {:>5} {:>5}", "r-msk%", "dec", "unm"));
     println!("{header}");
     // Aggregates across scenarios: per-domain outcome tallies, the
     // register baseline, skip severity, and the collapse accounting.
-    let mut domain_tallies: Vec<(String, Tally)> = UNCORE
-        .iter()
-        .map(|&d| (d.to_string(), Tally::default()))
-        .collect();
+    let mut domain_tallies = [Tally::default(); UNCORE.len()];
     let mut reg_tally = Tally::default();
     let mut static_skips = SkipComposition::default();
     let mut measured_skips = SkipComposition::default();
@@ -129,29 +147,32 @@ fn main() {
     let mut unapplied_skips: u64 = 0;
     let mut summary = ClassStats::default();
     let mut violations: Vec<String> = Vec::new();
-    for s in &scenarios {
-        let workload = Workload::from_scenario(s).unwrap_or_else(|e| panic!("{}: {e}", s.id()));
+    for (i, (s, workload)) in scenarios.iter().zip(&workloads).enumerate() {
         let image = &workload.image;
-        let reg = run_campaign(&workload, &reg_config);
+        let reg = &reg_sweep[i];
         if reg.tally.anomaly != 0 {
             violations.push(format!("{}: register-baseline anomaly outcomes", s.id()));
         }
         fold_tally(&mut reg_tally, &reg.tally);
         // The skip campaign maps its records back to the dropped
         // instructions through the golden trace.
-        let (_, trace) = fracas::inject::golden_trace(&workload);
+        let (_, trace) = golden_trace(workload);
         let oracle = PruneOracle::new(image.isa, &image.text, image.text_base, &trace);
         let mut row = Vec::new();
         let mut decided = 0;
         let mut unmodeled = 0;
-        for (name, (_, total)) in UNCORE.iter().zip(domain_tallies.iter_mut()) {
-            let mut config = base.clone();
-            config.space = FaultSpace::only(name);
-            let result = run_campaign(&workload, &config);
+        for (((domain, _), results), total) in UNCORE
+            .iter()
+            .zip(&uncore_sweeps)
+            .zip(domain_tallies.iter_mut())
+        {
+            let name = domain.name;
+            let result = &results[i];
             let stats = result.classes.expect("class-pruned campaign carries stats");
             summary.merge(&stats);
-            // Accounting gate: decided + explicitly-bucketed must cover
-            // the whole sample, with nothing in a foreign bucket.
+            // Accounting gate: decided + unmodeled must cover the whole
+            // sample, with every unmodeled fault under the campaign's
+            // own domain.
             if u64::from(stats.decided + stats.unmodeled.total()) != result.tally.total() {
                 violations.push(format!(
                     "{}/{name}: {} decided + {} unmodeled != {} faults — a fault fell through",
@@ -161,10 +182,10 @@ fn main() {
                     result.tally.total()
                 ));
             }
-            let foreign = stats.unmodeled.total() - stats.unmodeled.count(own_bucket(name));
+            let foreign = stats.unmodeled.total() - stats.unmodeled.count(domain);
             if foreign != 0 {
                 violations.push(format!(
-                    "{}/{name}: {foreign} fault(s) in foreign unmodeled bucket(s): {}",
+                    "{}/{name}: {foreign} fault(s) unmodeled under other domains: {}",
                     s.id(),
                     stats.unmodeled.breakdown()
                 ));
@@ -212,12 +233,12 @@ fn main() {
     // single scenario can legitimately come back all-Vanished at small
     // sample sizes; every scenario doing so means the domain cannot
     // produce an SDC at all — PR 9's cache-metadata regression).
-    for (name, tally) in &domain_tallies {
-        let total = tally.total();
+    for ((domain, _), tally) in UNCORE.iter().zip(&domain_tallies) {
+        let (name, total) = (domain.name, tally.total());
         if total == 0 || tally.count(Outcome::Vanished) != total {
             continue;
         }
-        if let Some((_, why)) = EXPECTED_QUIET.iter().find(|(n, _)| *n == name.as_str()) {
+        if let Some((_, why)) = EXPECTED_QUIET.iter().find(|(d, _)| d == domain) {
             eprintln!(
                 "note: domain {name} is 100% Vanished over {total} fault(s) — allowlisted: {why}"
             );
@@ -229,7 +250,11 @@ fn main() {
         }
     }
     println!();
-    let mut rows = domain_tallies;
+    let mut rows: Vec<(String, Tally)> = UNCORE
+        .iter()
+        .zip(domain_tallies)
+        .map(|((domain, _), tally)| (domain.name.to_string(), tally))
+        .collect();
     rows.push(("register".to_string(), reg_tally));
     print!("{}", labeled_outcome_table(&rows));
     println!();

@@ -16,12 +16,7 @@ fn main() {
     }
     let db = fracas_bench::ensure_db(&scenarios);
     for s in &scenarios {
-        let Some(c) = db.get(Key {
-            app: s.app,
-            model: s.model,
-            cores: s.cores,
-            isa: s.isa,
-        }) else {
+        let Some(c) = db.get(s) else {
             continue;
         };
         println!(

@@ -37,12 +37,7 @@ fn main() {
         "Scenario", "n", "Vanish", "ONA", "OMM", "UT", "Hang", "Anomaly"
     );
     for s in &scenarios {
-        let Some(c) = db.get(fracas::mine::Key {
-            app: s.app,
-            model: s.model,
-            cores: s.cores,
-            isa: s.isa,
-        }) else {
+        let Some(c) = db.get(s) else {
             continue;
         };
         use fracas::inject::Outcome;

@@ -107,25 +107,30 @@ impl ScenarioFilter {
     pub fn accept(&mut self, p: &mut Parser, flag: &str) -> bool {
         match flag {
             "--isa" => {
-                self.isa = Some(match p.value(flag).as_str() {
-                    "sira32" => IsaKind::Sira32,
-                    "sira64" => IsaKind::Sira64,
-                    other => {
-                        eprintln!("unknown ISA {other}");
-                        p.usage()
-                    }
-                });
+                let name = p.value(flag);
+                self.isa = Some(
+                    IsaKind::ALL
+                        .into_iter()
+                        .find(|i| i.name() == name)
+                        .unwrap_or_else(|| {
+                            eprintln!("unknown ISA {name}");
+                            p.usage()
+                        }),
+                );
             }
             "--model" => {
-                self.model = Some(match p.value(flag).as_str() {
-                    "ser" | "serial" => Model::Serial,
-                    "omp" => Model::Omp,
-                    "mpi" => Model::Mpi,
-                    other => {
-                        eprintln!("unknown model {other}");
-                        p.usage()
-                    }
-                });
+                let name = p.value(flag);
+                // `serial` is accepted beside the short name `ser`.
+                let short = if name == "serial" { "ser" } else { &name };
+                self.model = Some(
+                    Model::ALL
+                        .into_iter()
+                        .find(|m| m.name() == short)
+                        .unwrap_or_else(|| {
+                            eprintln!("unknown model {name}");
+                            p.usage()
+                        }),
+                );
             }
             "--app" => {
                 let name = p.value(flag).to_uppercase();

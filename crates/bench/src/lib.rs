@@ -18,7 +18,7 @@
 //! saved.
 
 use fracas::inject::{FleetConfig, Workload};
-use fracas::mine::{parse_id, Database};
+use fracas::mine::Database;
 use fracas::npb::Scenario;
 use std::path::Path;
 use std::time::Instant;
@@ -62,18 +62,7 @@ pub fn run_sweep(
             .unwrap_or_else(|e| panic!("corrupt database {}: {e}", db_path.display())),
         Err(_) => Database::new(),
     };
-    let missing: Vec<&Scenario> = scenarios
-        .iter()
-        .filter(|s| {
-            db.get(fracas::mine::Key {
-                app: s.app,
-                model: s.model,
-                cores: s.cores,
-                isa: s.isa,
-            })
-            .is_none()
-        })
-        .collect();
+    let missing: Vec<&Scenario> = scenarios.iter().filter(|s| db.get(s).is_none()).collect();
     if missing.is_empty() {
         return db;
     }
@@ -177,8 +166,10 @@ pub fn scenarios_for_isa(isa: fracas::isa::IsaKind) -> Vec<Scenario> {
         .collect()
 }
 
-/// The subset of campaigns in `db` whose ids parse (all of them, in a
-/// correct database).
+/// The campaigns in `db` whose ids name a suite scenario (all of them,
+/// in a correct database).
 pub fn coverage(db: &Database) -> usize {
-    db.iter().filter(|c| parse_id(&c.id).is_some()).count()
+    db.iter()
+        .filter(|c| Scenario::from_id(&c.id).is_some())
+        .count()
 }

@@ -77,7 +77,7 @@ pub mod prelude {
     };
     pub use fracas_isa::IsaKind;
     pub use fracas_kernel::{BootSpec, Kernel, KernelSnapshot, Limits, RunOutcome};
-    pub use fracas_mine::{Database, Key};
+    pub use fracas_mine::Database;
     pub use fracas_npb::{App, Model, Scenario};
 }
 
@@ -164,14 +164,7 @@ mod tests {
         assert_eq!(db.len(), 2);
         let ids: Vec<&str> = db.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids, ["is-ser-1-sira64", "ep-ser-1-sira64"]);
-        assert!(db
-            .get(Key {
-                app: App::Ep,
-                model: Model::Serial,
-                cores: 1,
-                isa: IsaKind::Sira64
-            })
-            .is_some());
+        assert!(db.get(&scenarios[1]).is_some());
         assert!(db.iter().all(|c| c.tally.total() == 5));
     }
 }

@@ -777,7 +777,7 @@ mod tests {
         assert!(ladder.len() >= 8, "the trace was digested at every rung");
         let (_, trace) = golden_trace(&w);
         let faults = campaign_faults(&w, &config, report.cycles);
-        let streamed = crate::classes::class_plan_with(&w, &oracle, &faults);
+        let streamed = crate::classes::class_plan_with(w.image.isa, &oracle, &faults);
         let whole = crate::class_plan(&w, &trace, &faults);
         assert_eq!(streamed.decided, whole.decided);
         assert_eq!(streamed.rep, whole.rep);

@@ -8,9 +8,11 @@
 //! faults sharing `(core, target, bit, width)` coordinates *and* a
 //! landing interval collapse onto one **representative** — the class's
 //! lowest fault index. The campaign executes only representatives (and
-//! singletons: unmodeled targets, cores the trace never saw); every
-//! other member synthesizes the representative's outcome, cycles and
-//! instruction count under its own fault coordinates.
+//! singletons: targets outside the oracle's model, which
+//! [`ClassStats::unmodeled`] counts under their registry domain, and
+//! cores the trace never saw); every other member synthesizes the
+//! representative's outcome, cycles and instruction count under its own
+//! fault coordinates.
 //!
 //! The soundness claim is *exactness*, not statistical
 //! interchangeability: by the interval argument (see
@@ -35,10 +37,12 @@
 //! from before its own landing.
 
 use crate::campaign::{InjectionRecord, Workload};
-use crate::prune::{prune_cap, PruneCap, Unmodeled, UnmodeledCounts};
+use crate::domain::Domain;
+use crate::prune::{prune_cap, PruneCap, UnmodeledCounts};
 use crate::{Fault, FaultTarget, Outcome};
 use fracas_analyze::{Fingerprint, Horizon, PruneOracle, PruneTarget, PruneVerdict};
 use fracas_cpu::ExecTrace;
+use fracas_isa::IsaKind;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -52,10 +56,11 @@ enum FaultClass {
     /// Non-representative member of a live class: synthesized from the
     /// representative's record.
     Member,
-    /// Executed for real with no class to share: an [`Unmodeled`]
-    /// target, or a fault coordinate the oracle cannot fingerprint
-    /// (`None`: a core outside the golden trace).
-    Singleton(Option<Unmodeled>),
+    /// Executed for real with no class to share: a target outside the
+    /// oracle's model, counted under its domain, or a fault coordinate
+    /// the oracle cannot fingerprint (`None`: a core outside the golden
+    /// trace).
+    Singleton(Option<&'static Domain>),
 }
 
 /// Aggregate collapse statistics of a [`ClassPlan`] (or a prefix of
@@ -165,10 +170,10 @@ impl ClassPlan {
                 FaultClass::Decided => stats.decided += 1,
                 FaultClass::Rep => stats.live_classes += 1,
                 FaultClass::Member => stats.members += 1,
-                FaultClass::Singleton(reason) => {
+                FaultClass::Singleton(domain) => {
                     stats.singletons += 1;
-                    if let Some(reason) = reason {
-                        stats.unmodeled.record(*reason);
+                    if let Some(domain) = domain {
+                        stats.unmodeled.record(domain);
                     }
                 }
             }
@@ -220,17 +225,13 @@ fn bit_coords(fault: &Fault) -> (u32, u32) {
 pub fn class_plan(workload: &Workload, trace: &ExecTrace, faults: &[Fault]) -> ClassPlan {
     let image = &workload.image;
     let oracle = PruneOracle::new(image.isa, &image.text, image.text_base, trace);
-    class_plan_with(workload, &oracle, faults)
+    class_plan_with(image.isa, &oracle, faults)
 }
 
-/// [`class_plan`] against an oracle already built from the golden run
-/// (the campaign digests the trace while the run is recorded).
-pub(crate) fn class_plan_with(
-    workload: &Workload,
-    oracle: &PruneOracle,
-    faults: &[Fault],
-) -> ClassPlan {
-    let image = &workload.image;
+/// [`class_plan`] on `isa` against an oracle already built from the
+/// golden run (the campaign digests the trace while the run is
+/// recorded).
+pub(crate) fn class_plan_with(isa: IsaKind, oracle: &PruneOracle, faults: &[Fault]) -> ClassPlan {
     let mut decided: Vec<Option<Outcome>> = vec![None; faults.len()];
     let mut rep: Vec<u32> = (0..faults.len() as u32).collect();
     let mut horizon: Vec<Option<Horizon>> = vec![None; faults.len()];
@@ -240,22 +241,22 @@ pub(crate) fn class_plan_with(
     // bit, width), and an interval id names an op, not a register.
     let mut first: HashMap<(usize, PruneTarget, u32, u32, Fingerprint), u32> = HashMap::new();
     for (i, fault) in faults.iter().enumerate() {
-        let (core, target) = match prune_cap(image.isa, fault) {
+        let (core, target) = match prune_cap(isa, fault) {
             PruneCap::Oracle(core, target) => (core, target),
             // The timing core halts before the injection cycle: the
             // fault is never applied, the "faulty" run is the golden
             // run, and Vanished with golden counts is exact.
-            PruneCap::StaticOnly(_)
+            PruneCap::StaticOnly
                 if oracle.applied(fault.timing_core(), fault.cycle) == Some(false) =>
             {
                 decided[i] = Some(Outcome::Vanished);
                 classes.push(FaultClass::Decided);
                 continue;
             }
-            PruneCap::StaticOnly(reason) | PruneCap::Unmodeled(reason) => {
+            PruneCap::StaticOnly | PruneCap::Unmodeled => {
                 // Outside the model: must execute alone — classing such
                 // a fault could merge genuinely different outcomes.
-                classes.push(FaultClass::Singleton(Some(reason)));
+                classes.push(FaultClass::Singleton(Some(fault.target.domain())));
                 continue;
             }
         };
@@ -339,10 +340,10 @@ mod tests {
         // hand-summed subset — a field list once silently dropped the
         // uncore buckets.
         let mut unmodeled = UnmodeledCounts::default();
-        for reason in Unmodeled::ALL {
-            unmodeled.record(reason);
+        for &domain in crate::domains() {
+            unmodeled.record(domain);
         }
-        let buckets = Unmodeled::ALL.len() as u32;
+        let buckets = crate::domains().len() as u32;
         let stats = ClassStats {
             faults: buckets,
             singletons: buckets,
@@ -352,8 +353,8 @@ mod tests {
         let mut sum = ClassStats::default();
         sum.merge(&stats);
         sum.merge(&stats);
-        for reason in Unmodeled::ALL {
-            assert_eq!(sum.unmodeled.count(reason), 2, "{}", reason.name());
+        for &domain in crate::domains() {
+            assert_eq!(sum.unmodeled.count(domain), 2, "{}", domain.name);
         }
         assert_eq!(sum.unmodeled.total(), 2 * buckets);
         assert_eq!(sum.singletons, 2 * buckets);

@@ -6,7 +6,9 @@
 //! becomes a concrete target, and whether the struck state is
 //! short-lived enough to probe for golden reconvergence.
 //! `sample_space`, `Fault::targets_ephemeral_state` and the sweep's
-//! `--*-faults` flags read this table.
+//! `--*-faults` flags read this table, and an entry is the identity the
+//! prune accounting counts unmodeled faults under
+//! ([`crate::UnmodeledCounts`]).
 //!
 //! Behaviour that takes a [`FaultTarget`] is not in the table: each
 //! such rule is one exhaustive `match` on the enum, so a new variant
@@ -252,7 +254,8 @@ fn kernelctl_bits(d: &SpaceDims) -> u64 {
     }
 }
 
-static GPR: Domain = Domain {
+/// The integer register file.
+pub static GPR: Domain = Domain {
     name: "gpr",
     flag: Some("gpr"),
     placement: Placement::CoreBlock,
@@ -269,7 +272,8 @@ static GPR: Domain = Domain {
     },
 };
 
-static FPR: Domain = Domain {
+/// The floating-point register file (empty on SIRA-32).
+pub static FPR: Domain = Domain {
     name: "fpr",
     flag: Some("fpr"),
     placement: Placement::CoreBlock,
@@ -286,7 +290,8 @@ static FPR: Domain = Domain {
     },
 };
 
-static FLAGS: Domain = Domain {
+/// The NZCV condition flags.
+pub static FLAGS: Domain = Domain {
     name: "flags",
     flag: Some("flag"),
     placement: Placement::CoreBlock,
@@ -299,7 +304,8 @@ static FLAGS: Domain = Domain {
     },
 };
 
-static SKIP: Domain = Domain {
+/// The one-shot instruction-skip latch of each core.
+pub static SKIP: Domain = Domain {
     name: "skip",
     flag: Some("skip"),
     placement: Placement::CoreBlock,
@@ -311,7 +317,8 @@ static SKIP: Domain = Domain {
     make: |_, core, _| FaultTarget::InstrSkip { core },
 };
 
-static MEM: Domain = Domain {
+/// Data-memory bytes of a configured address range.
+pub static MEM: Domain = Domain {
     name: "mem",
     flag: None,
     placement: Placement::Tail,
@@ -327,7 +334,8 @@ static MEM: Domain = Domain {
     },
 };
 
-static TEXT: Domain = Domain {
+/// Encoded instruction words.
+pub static TEXT: Domain = Domain {
     name: "text",
     flag: Some("text"),
     placement: Placement::Tail,
@@ -346,7 +354,8 @@ static TEXT: Domain = Domain {
     },
 };
 
-static CACHE: Domain = Domain {
+/// Cache-line metadata: tag, MESI state and LRU stamp.
+pub static CACHE: Domain = Domain {
     name: "cache",
     flag: Some("cache"),
     placement: Placement::Tail,
@@ -379,7 +388,8 @@ static CACHE: Domain = Domain {
     },
 };
 
-static KERNELCTL: Domain = Domain {
+/// Kernel control state: run-queue entries and page permissions.
+pub static KERNELCTL: Domain = Domain {
     name: "kernelctl",
     flag: Some("kernelctl"),
     placement: Placement::Tail,
@@ -405,7 +415,8 @@ static KERNELCTL: Domain = Domain {
     },
 };
 
-static STOREBUF: Domain = Domain {
+/// Pending store-buffer entries.
+pub static STOREBUF: Domain = Domain {
     name: "storebuf",
     flag: Some("storebuf"),
     placement: Placement::Tail,
@@ -426,7 +437,8 @@ static STOREBUF: Domain = Domain {
     },
 };
 
-static CACHEDATA: Domain = Domain {
+/// Cache-line data bits of each L1D.
+pub static CACHEDATA: Domain = Domain {
     name: "cachedata",
     flag: Some("cachedata"),
     placement: Placement::Tail,
@@ -446,9 +458,12 @@ static CACHEDATA: Domain = Domain {
     },
 };
 
+/// Number of registered domains.
+pub(crate) const DOMAIN_COUNT: usize = 10;
+
 /// The registry, in space-layout order (see the module docs' layout
 /// contract): core-block domains first, then tail domains.
-static DOMAINS: [&Domain; 10] = [
+static DOMAINS: [&Domain; DOMAIN_COUNT] = [
     &GPR, &FPR, &FLAGS, &SKIP, &MEM, &TEXT, &CACHE, &KERNELCTL, &STOREBUF, &CACHEDATA,
 ];
 
@@ -461,6 +476,30 @@ pub fn domains() -> &'static [&'static Domain] {
 pub fn domain_named(name: &str) -> Option<&'static Domain> {
     domains().iter().copied().find(|d| d.name == name)
 }
+
+impl Domain {
+    /// This domain's position in [`domains`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for a descriptor that is not one of the registry's.
+    pub(crate) fn index(&self) -> usize {
+        DOMAINS
+            .iter()
+            .position(|&d| d == self)
+            .expect("a registry domain")
+    }
+}
+
+/// A domain is its registry entry: two descriptors are equal only when
+/// they are the same static.
+impl PartialEq for Domain {
+    fn eq(&self, other: &Domain) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Eq for Domain {}
 
 impl FaultTarget {
     /// The registry entry of this target's family.
@@ -483,14 +522,15 @@ impl FaultTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classes::class_plan_with;
+    use crate::{prune_cap, Fault, PruneCap};
+    use fracas_analyze::PruneOracle;
+    use fracas_cpu::ExecTrace;
 
-    #[test]
-    fn every_target_maps_to_exactly_one_domain() {
-        // `FaultTarget::domain` is an exhaustive match, so every target
-        // has exactly one domain; it must be the domain whose sampler
-        // produced the target. The first, middle and last offset of
-        // every domain cover all eleven variants (kernel control's
-        // first offset is a run-queue bit, its last a page permission).
+    /// Dimensions under which every domain contributes bits: SIRA-64
+    /// (SIRA-32 has no FP registers to sample), two cores, every
+    /// uncore array non-empty.
+    fn every_domain_dims() -> SpaceDims {
         let space = FaultSpace {
             flags: true,
             mem: Some((0x1000, 16)),
@@ -502,7 +542,7 @@ mod tests {
             cachedata: true,
             ..FaultSpace::default()
         };
-        let dims = SpaceDims {
+        SpaceDims {
             runq_slots: 4,
             procs: 2,
             pages_per_proc: 8,
@@ -510,22 +550,80 @@ mod tests {
             l2_lines: 8,
             sb_entries: 8,
             ..SpaceDims::bare(IsaKind::Sira64, 2, space, 10)
-        };
+        }
+    }
+
+    /// The targets at the first, middle and last offset of every
+    /// domain's sampler, each with the domain that drew it. They cover
+    /// all eleven variants (kernel control's first offset is a
+    /// run-queue bit, its last a page permission).
+    fn drawn_targets() -> Vec<(&'static Domain, FaultTarget)> {
+        let dims = every_domain_dims();
+        domains()
+            .iter()
+            .flat_map(|&domain| {
+                let bits = (domain.bits)(&dims);
+                [0, bits / 2, bits - 1].map(|within| (domain, (domain.make)(&dims, 1, within)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_target_maps_to_exactly_one_domain() {
+        // `FaultTarget::domain` is an exhaustive match, so every target
+        // has exactly one domain; it must be the domain whose sampler
+        // produced the target.
         let mut variants = std::collections::HashSet::new();
-        for &domain in domains() {
-            let bits = (domain.bits)(&dims);
-            for within in [0, bits / 2, bits - 1] {
-                let target = (domain.make)(&dims, 1, within);
-                assert!(
-                    std::ptr::eq(target.domain(), domain),
-                    "{target:?} from {} maps to {}",
-                    domain.name,
-                    target.domain().name
-                );
-                variants.insert(std::mem::discriminant(&target));
-            }
+        for (domain, target) in drawn_targets() {
+            assert!(
+                std::ptr::eq(target.domain(), domain),
+                "{target:?} from {} maps to {}",
+                domain.name,
+                target.domain().name
+            );
+            variants.insert(std::mem::discriminant(&target));
         }
         assert_eq!(variants.len(), 11);
+    }
+
+    #[test]
+    fn every_unfingerprinted_fault_counts_under_its_own_domain() {
+        // An empty trace gives the oracle no landing, so the class plan
+        // decides nothing: every fault outside the oracle's model runs
+        // as a singleton and must be counted under the domain whose
+        // sampler drew it.
+        let drawn = drawn_targets();
+        let faults: Vec<Fault> = drawn
+            .iter()
+            .map(|&(_, target)| Fault {
+                target,
+                cycle: 1,
+                width: 1,
+            })
+            .collect();
+        for isa in IsaKind::ALL {
+            let oracle = PruneOracle::new(isa, &[], 0, &ExecTrace::default());
+            let stats = class_plan_with(isa, &oracle, &faults).stats();
+            for &domain in domains() {
+                let unmodeled = drawn
+                    .iter()
+                    .zip(&faults)
+                    .filter(|((from, _), fault)| {
+                        *from == domain && !matches!(prune_cap(isa, fault), PruneCap::Oracle(..))
+                    })
+                    .count();
+                assert_eq!(
+                    stats.unmodeled.count(domain),
+                    unmodeled as u32,
+                    "{isa}: {}",
+                    domain.name
+                );
+            }
+            // Memory, the skip latch and the four uncore domains always
+            // run unmodeled; the FP registers only on SIRA-32.
+            let domains_unmodeled = if isa == IsaKind::Sira32 { 7 } else { 6 };
+            assert_eq!(stats.unmodeled.total(), 3 * domains_unmodeled, "{isa}");
+        }
     }
 
     #[test]

@@ -528,7 +528,7 @@ fn run_golden_job(state: &WorkloadState, config: &FleetConfig, sink: &RecordSink
         // The oracle exists exactly when pruning is on; it is dropped
         // here, before injection starts, because it can dwarf the
         // checkpoint ladder.
-        let plan = oracle.map(|oracle| class_plan_with(state.workload, &oracle, &faults));
+        let plan = oracle.map(|oracle| class_plan_with(state.workload.image.isa, &oracle, &faults));
         let cells = (0..faults.len()).map(|_| OnceLock::new()).collect();
         GoldenJob {
             report,

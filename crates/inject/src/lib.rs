@@ -80,4 +80,4 @@ pub use fleet::{
     run_fleet, run_fleet_with, run_fleet_with_sink, FleetConfig, Injector, RecordSink,
 };
 pub use fracas_analyze::Horizon;
-pub use prune::{prune_cap, PruneCap, Unmodeled, UnmodeledCounts};
+pub use prune::{prune_cap, PruneCap, UnmodeledCounts};

@@ -13,9 +13,9 @@ mod common;
 
 use common::build_workload;
 use fracas_inject::{
-    campaign_faults, class_plan, golden_run_with_checkpoints, golden_trace, run_campaign,
+    campaign_faults, class_plan, domain, golden_run_with_checkpoints, golden_trace, run_campaign,
     run_fleet_with_sink, CampaignConfig, CampaignResult, ClassStats, Fault, FaultSpace,
-    FaultTarget, FleetConfig, Unmodeled, Workload,
+    FaultTarget, FleetConfig, Workload,
 };
 use fracas_isa::IsaKind;
 use fracas_npb::{App, Model, Scenario};
@@ -194,7 +194,7 @@ fn mini_kernel_members_collapse_and_audit_cleanly() {
 
 /// Text faults are first-class since PR 8: a mixed register+text
 /// campaign decides and classes its text draws like any register fault
-/// (zero `Unmodeled` residue — the bundled workloads never self-patch),
+/// (zero unmodeled residue — the bundled workloads never self-patch),
 /// and the sampled audit layer re-executes a subset of the pruned text
 /// faults against the decode-differential verdicts with zero
 /// mismatches.
@@ -354,9 +354,9 @@ fn is_ser_1_sira32_class_partition_is_pinned() {
 
 /// The SIRA-32 FPR regression at the plan level: the sampler never
 /// draws SIRA-32 FPR faults (they are outside the ISA's fault space),
-/// but a hand-built one must classify as an `Unmodeled` singleton —
-/// counted in its own bucket, executed for real — not silently share
-/// the oracle-abstained path.
+/// but a hand-built one must classify as an unmodeled singleton —
+/// counted under the `fpr` domain, executed for real — not silently
+/// share the oracle-abstained path.
 #[test]
 fn sira32_fpr_faults_form_unmodeled_singletons() {
     let w = build_workload(IsaKind::Sira32, 1, 1, 10, false, 4_000);
@@ -382,7 +382,7 @@ fn sira32_fpr_faults_form_unmodeled_singletons() {
         }))
         .collect();
     let stats = class_plan(&w, &trace, &faults).stats();
-    assert_eq!(stats.unmodeled.count(Unmodeled::Sira32Fpr), 4, "{stats:?}");
+    assert_eq!(stats.unmodeled.count(&domain::FPR), 4, "{stats:?}");
     assert_eq!(stats.unmodeled.total(), 4);
     assert!(stats.singletons >= 4, "unmodeled faults execute for real");
     assert_eq!(stats.faults, 5);

@@ -1,62 +1,7 @@
-//! The merged campaign database and scenario-id parsing.
+//! The merged campaign database.
 
 use fracas_inject::CampaignResult;
-use fracas_isa::IsaKind;
-use fracas_npb::{App, Model};
-
-/// A parsed scenario identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Key {
-    /// Application.
-    pub app: App,
-    /// Programming model.
-    pub model: Model,
-    /// Core / rank / thread count.
-    pub cores: u32,
-    /// Target ISA.
-    pub isa: IsaKind,
-}
-
-/// Parses a scenario id of the form `app-model-cores-isa`
-/// (e.g. `ft-mpi-4-sira64`).
-pub fn parse_id(id: &str) -> Option<Key> {
-    let mut parts = id.split('-');
-    let app = match parts.next()? {
-        "bt" => App::Bt,
-        "cg" => App::Cg,
-        "dc" => App::Dc,
-        "dt" => App::Dt,
-        "ep" => App::Ep,
-        "ft" => App::Ft,
-        "is" => App::Is,
-        "lu" => App::Lu,
-        "mg" => App::Mg,
-        "sp" => App::Sp,
-        "ua" => App::Ua,
-        _ => return None,
-    };
-    let model = match parts.next()? {
-        "ser" => Model::Serial,
-        "omp" => Model::Omp,
-        "mpi" => Model::Mpi,
-        _ => return None,
-    };
-    let cores: u32 = parts.next()?.parse().ok()?;
-    let isa = match parts.next()? {
-        "sira32" => IsaKind::Sira32,
-        "sira64" => IsaKind::Sira64,
-        _ => return None,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(Key {
-        app,
-        model,
-        cores,
-        isa,
-    })
-}
+use fracas_npb::Scenario;
 
 /// The phase-four merged database: one [`CampaignResult`] per scenario.
 #[derive(Debug, Clone, Default)]
@@ -95,9 +40,10 @@ impl Database {
         self.campaigns.is_empty()
     }
 
-    /// Looks a campaign up by scenario identity.
-    pub fn get(&self, key: Key) -> Option<&CampaignResult> {
-        self.campaigns.iter().find(|c| parse_id(&c.id) == Some(key))
+    /// The campaign of `scenario`, found by its [`Scenario::id`].
+    pub fn get(&self, scenario: &Scenario) -> Option<&CampaignResult> {
+        let id = scenario.id();
+        self.campaigns.iter().find(|c| c.id == id)
     }
 
     /// Serialises the database as JSON lines (one campaign per line).
@@ -135,43 +81,5 @@ impl FromIterator<CampaignResult> for Database {
 impl Extend<CampaignResult> for Database {
     fn extend<I: IntoIterator<Item = CampaignResult>>(&mut self, iter: I) {
         self.campaigns.extend(iter);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_valid_ids() {
-        let k = parse_id("ft-mpi-4-sira64").unwrap();
-        assert_eq!(k.app, App::Ft);
-        assert_eq!(k.model, Model::Mpi);
-        assert_eq!(k.cores, 4);
-        assert_eq!(k.isa, IsaKind::Sira64);
-        let k = parse_id("is-ser-1-sira32").unwrap();
-        assert_eq!(k.app, App::Is);
-        assert_eq!(k.model, Model::Serial);
-    }
-
-    #[test]
-    fn rejects_malformed_ids() {
-        assert!(parse_id("nope-mpi-4-sira64").is_none());
-        assert!(parse_id("ft-xxx-4-sira64").is_none());
-        assert!(parse_id("ft-mpi-x-sira64").is_none());
-        assert!(parse_id("ft-mpi-4-arm").is_none());
-        assert!(parse_id("ft-mpi-4-sira64-extra").is_none());
-        assert!(parse_id("").is_none());
-    }
-
-    #[test]
-    fn scenario_ids_all_parse() {
-        for s in fracas_npb::Scenario::all() {
-            let k = parse_id(&s.id()).unwrap_or_else(|| panic!("{}", s.id()));
-            assert_eq!(k.app, s.app);
-            assert_eq!(k.model, s.model);
-            assert_eq!(k.cores, s.cores);
-            assert_eq!(k.isa, s.isa);
-        }
     }
 }

@@ -28,7 +28,7 @@ mod stats;
 mod trends;
 
 pub use correlate::{correlation_matrix, strongest, Correlation, METRICS, RATES};
-pub use db::{parse_id, Database, Key};
+pub use db::Database;
 pub use registers::{register_criticality, RegisterCriticality};
 pub use report::{
     composition_stats, hang_index_table, labeled_outcome_table, masking_comparison, mem_table,

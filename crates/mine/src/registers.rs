@@ -3,9 +3,10 @@
 //! file concentrates faults on critical registers (PC, SP, the r0–r3
 //! load/store templates), while ARMv8's 4× larger file dilutes them.
 
-use crate::db::{parse_id, Database};
+use crate::db::Database;
 use fracas_inject::{FaultTarget, Outcome};
 use fracas_isa::IsaKind;
+use fracas_npb::Scenario;
 
 /// Outcome counts for one architectural register, aggregated over every
 /// campaign of one ISA in the database.
@@ -45,7 +46,7 @@ pub fn register_criticality(db: &Database, isa: IsaKind) -> Vec<RegisterCritical
         })
         .collect();
     for c in db.iter() {
-        if parse_id(&c.id).is_none_or(|k| k.isa != isa) {
+        if Scenario::from_id(&c.id).is_none_or(|s| s.isa != isa) {
             continue;
         }
         for r in &c.records {

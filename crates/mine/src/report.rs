@@ -1,10 +1,10 @@
 //! The mining reports behind every table and figure of the paper.
 
-use crate::db::{parse_id, Database, Key};
+use crate::db::Database;
 use crate::stats::{mean, std_dev};
-use fracas_inject::{Outcome, Tally};
+use fracas_inject::{CampaignResult, Outcome, Tally};
 use fracas_isa::IsaKind;
-use fracas_npb::{App, Model};
+use fracas_npb::{App, Model, Scenario};
 use std::fmt::Write as _;
 
 /// Renders the per-application outcome distribution panel (Figures 2a/2b
@@ -12,11 +12,7 @@ use std::fmt::Write as _;
 /// (`SER-1`, `MPI-1`, `MPI-2`, `MPI-4` or the OMP equivalents) with the
 /// five class percentages.
 pub fn outcome_table(db: &Database, isa: IsaKind, model: Model) -> String {
-    let tag = match model {
-        Model::Mpi => "MPI",
-        Model::Omp => "OMP",
-        Model::Serial => "SER",
-    };
+    let tag = model.name().to_uppercase();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -27,33 +23,12 @@ pub fn outcome_table(db: &Database, isa: IsaKind, model: Model) -> String {
         if !fracas_npb::has_variant(app, model) {
             continue;
         }
-        let mut rows: Vec<(String, Key)> = Vec::new();
-        if fracas_npb::has_variant(app, Model::Serial) {
-            rows.push((
-                "SER-1".to_string(),
-                Key {
-                    app,
-                    model: Model::Serial,
-                    cores: 1,
-                    isa,
-                },
-            ));
-        }
-        for cores in [1u32, 2, 4] {
-            if fracas_npb::available(app, model, cores) {
-                rows.push((
-                    format!("{tag}-{cores}"),
-                    Key {
-                        app,
-                        model,
-                        cores,
-                        isa,
-                    },
-                ));
-            }
-        }
-        for (label, key) in rows {
-            match db.get(key) {
+        let serial = Scenario::new(app, Model::Serial, 1, isa).map(|s| ("SER-1".to_string(), s));
+        let own = [1u32, 2, 4].into_iter().filter_map(|cores| {
+            Scenario::new(app, model, cores, isa).map(|s| (format!("{tag}-{cores}"), s))
+        });
+        for (label, scenario) in serial.into_iter().chain(own) {
+            match db.get(&scenario) {
                 Some(c) => {
                     let t = &c.tally;
                     let _ = writeln!(
@@ -132,25 +107,7 @@ pub fn mismatch_rows(db: &Database, isa: IsaKind) -> Vec<MismatchRow> {
     let mut rows = Vec::new();
     for app in App::ALL {
         for cores in [1u32, 2, 4] {
-            if !fracas_npb::available(app, Model::Mpi, cores)
-                || !fracas_npb::available(app, Model::Omp, cores)
-            {
-                continue;
-            }
-            let (Some(m), Some(o)) = (
-                db.get(Key {
-                    app,
-                    model: Model::Mpi,
-                    cores,
-                    isa,
-                }),
-                db.get(Key {
-                    app,
-                    model: Model::Omp,
-                    cores,
-                    isa,
-                }),
-            ) else {
+            let Some((m, o)) = mpi_omp_pair(db, app, cores, isa) else {
                 continue;
             };
             let mut delta = [0.0; 5];
@@ -168,6 +125,19 @@ pub fn mismatch_rows(db: &Database, isa: IsaKind) -> Vec<MismatchRow> {
         }
     }
     rows
+}
+
+/// The MPI and OMP campaigns of `app` on `cores` cores of `isa`, when
+/// the suite has both scenarios and the database holds both.
+fn mpi_omp_pair(
+    db: &Database,
+    app: App,
+    cores: u32,
+    isa: IsaKind,
+) -> Option<(&CampaignResult, &CampaignResult)> {
+    let mpi = Scenario::new(app, Model::Mpi, cores, isa)?;
+    let omp = Scenario::new(app, Model::Omp, cores, isa)?;
+    Some((db.get(&mpi)?, db.get(&omp)?))
 }
 
 /// Renders the mismatch panel as text.
@@ -223,24 +193,10 @@ pub fn hang_index_table(db: &Database, app: App) -> Vec<HangIndexRow> {
         (Model::Mpi, IsaKind::Sira64, "MPI V8"),
         (Model::Omp, IsaKind::Sira64, "OMP V8"),
     ] {
-        let single = db
-            .get(Key {
-                app,
-                model,
-                cores: 1,
-                isa,
-            })
-            .map(|c| c.profile.calls as f64 * c.profile.branches as f64);
+        let campaign = |cores| Scenario::new(app, model, cores, isa).and_then(|s| db.get(&s));
+        let single = campaign(1).map(|c| c.profile.calls as f64 * c.profile.branches as f64);
         for cores in [1u32, 2, 4] {
-            if !fracas_npb::available(app, model, cores) {
-                continue;
-            }
-            let Some(c) = db.get(Key {
-                app,
-                model,
-                cores,
-                isa,
-            }) else {
+            let Some(c) = campaign(cores) else {
                 continue;
             };
             let fb = c.profile.calls as f64 * c.profile.branches as f64;
@@ -277,18 +233,19 @@ pub struct MemRow {
     pub rd_wr: f64,
 }
 
-/// Builds a Table 3/4-style report for the given scenario keys.
-pub fn mem_table(db: &Database, keys: &[Key]) -> Vec<MemRow> {
-    keys.iter()
-        .filter_map(|&key| {
-            let c = db.get(key)?;
-            let tag = match key.model {
-                Model::Mpi => "MPI",
-                Model::Omp => "OMP",
-                Model::Serial => "SER",
-            };
+/// Builds a Table 3/4-style report for the given scenarios.
+pub fn mem_table(db: &Database, scenarios: &[Scenario]) -> Vec<MemRow> {
+    scenarios
+        .iter()
+        .filter_map(|s| {
+            let c = db.get(s)?;
             Some(MemRow {
-                label: format!("{} {tag}x{}", key.app.name(), key.cores),
+                label: format!(
+                    "{} {}x{}",
+                    s.app.name(),
+                    s.model.name().to_uppercase(),
+                    s.cores
+                ),
                 survived_pct: c.tally.pct(Outcome::Vanished)
                     + c.tally.pct(Outcome::Omm)
                     + c.tally.pct(Outcome::Ona),
@@ -325,7 +282,7 @@ pub fn composition_stats(db: &Database) -> Vec<CompositionStat> {
     .map(|(model, isa, group)| {
         let ratios: Vec<f64> = db
             .iter()
-            .filter(|c| parse_id(&c.id).is_some_and(|k| k.model == model && k.isa == isa))
+            .filter(|c| Scenario::from_id(&c.id).is_some_and(|s| s.model == model && s.isa == isa))
             .map(|c| c.profile.branch_ratio * 100.0)
             .collect();
         CompositionStat {
@@ -368,25 +325,7 @@ pub fn masking_comparison(db: &Database) -> MaskingSummary {
     for isa in IsaKind::ALL {
         for app in App::ALL {
             for cores in [1u32, 2, 4] {
-                if !fracas_npb::available(app, Model::Mpi, cores)
-                    || !fracas_npb::available(app, Model::Omp, cores)
-                {
-                    continue;
-                }
-                let (Some(m), Some(o)) = (
-                    db.get(Key {
-                        app,
-                        model: Model::Mpi,
-                        cores,
-                        isa,
-                    }),
-                    db.get(Key {
-                        app,
-                        model: Model::Omp,
-                        cores,
-                        isa,
-                    }),
-                ) else {
+                let Some((m, o)) = mpi_omp_pair(db, app, cores, isa) else {
                     continue;
                 };
                 pairs += 1;
@@ -440,8 +379,7 @@ pub fn workload_summary(db: &Database, isa: IsaKind) -> WorkloadSummary {
     let mut hours = Vec::new();
     let mut instrs = Vec::new();
     for c in db.iter() {
-        let Some(key) = parse_id(&c.id) else { continue };
-        if key.isa != isa {
+        if Scenario::from_id(&c.id).is_none_or(|s| s.isa != isa) {
             continue;
         }
         let s = c.golden.cycles as f64 / 1.0e9;
@@ -573,12 +511,7 @@ mod tests {
         )]);
         let rows = mem_table(
             &db,
-            &[Key {
-                app: App::Mg,
-                model: Model::Mpi,
-                cores: 4,
-                isa: IsaKind::Sira32,
-            }],
+            &[Scenario::new(App::Mg, Model::Mpi, 4, IsaKind::Sira32).unwrap()],
         );
         assert_eq!(rows.len(), 1);
         assert!((rows[0].survived_pct - 70.0).abs() < 1e-9);

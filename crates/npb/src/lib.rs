@@ -199,7 +199,8 @@ impl Scenario {
         v
     }
 
-    /// A stable identifier, e.g. `ft-mpi-4-sira64`.
+    /// A stable identifier, e.g. `ft-mpi-4-sira64`: the one place that
+    /// knows the id format (campaign results carry it as their `id`).
     pub fn id(&self) -> String {
         format!(
             "{}-{}-{}-{}",
@@ -208,6 +209,12 @@ impl Scenario {
             self.cores,
             self.isa
         )
+    }
+
+    /// The suite scenario whose [`Scenario::id`] is `id`, or `None` for
+    /// an id no scenario of [`Scenario::all`] has.
+    pub fn from_id(id: &str) -> Option<Scenario> {
+        Scenario::all().into_iter().find(|s| s.id() == id)
     }
 
     /// The FL source of this scenario's program.
@@ -308,6 +315,33 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), all.len());
+    }
+
+    #[test]
+    fn from_id_round_trips_every_id() {
+        for s in Scenario::all() {
+            assert_eq!(Scenario::from_id(&s.id()), Some(s), "{}", s.id());
+        }
+    }
+
+    #[test]
+    fn from_id_rejects_malformed_ids() {
+        for id in [
+            "nope-mpi-4-sira64",
+            "ft-xxx-4-sira64",
+            "ft-mpi-x-sira64",
+            "ft-mpi-4-arm",
+            "ft-mpi-4-sira64-extra",
+            "",
+        ] {
+            assert_eq!(Scenario::from_id(id), None, "{id:?}");
+        }
+    }
+
+    #[test]
+    fn from_id_rejects_well_formed_ids_outside_the_suite() {
+        // BT has no dual-rank MPI variant.
+        assert_eq!(Scenario::from_id("bt-mpi-2-sira32"), None);
     }
 
     #[test]

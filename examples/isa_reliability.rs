@@ -59,8 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     metric(
         &|r| {
-            let key = fracas::mine::parse_id(&r.id).expect("valid id");
-            FaultSpace::default().total_bits(key.isa, 1).to_string()
+            let scenario = Scenario::from_id(&r.id).expect("a suite scenario");
+            FaultSpace::default()
+                .total_bits(scenario.isa, 1)
+                .to_string()
         },
         "fault-target bits",
         &rows,
