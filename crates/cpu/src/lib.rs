@@ -8,7 +8,11 @@
 //! * **Deterministic interleaving** — [`Machine::next_core`] always picks
 //!   the runnable core with the smallest local cycle count (ties broken by
 //!   core id), so a run is a pure function of (image, inputs, injected
-//!   fault). Golden-run comparison depends on this.
+//!   fault). Golden-run comparison depends on this. The election runs
+//!   inside the interpreter: [`Machine::run_burst`] steps the winner
+//!   until another core would win, elects again, and hands control back
+//!   to the kernel only when a step needs it or a core reaches the cap
+//!   the kernel set for it.
 //! * **Cycle timing** — each instruction advances the core's local clock
 //!   by a per-ISA [`CostModel`] cost plus cache-miss penalties; the
 //!   SIRA-64 model reflects the Cortex-A72's wider issue with lower
@@ -55,7 +59,7 @@ pub mod trace;
 mod trap;
 
 pub use cost::CostModel;
-pub use machine::{Machine, MachineSnapshot, RunError, StepResult};
+pub use machine::{Burst, Machine, MachineSnapshot, RunError, StepResult};
 pub use state::{Core, CoreContext, CoreStats, Flags};
 pub use trace::{ExecTrace, TraceEvent, TraceKind};
 pub use trap::Trap;

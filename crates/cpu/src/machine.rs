@@ -17,6 +17,10 @@ use std::sync::Arc;
 const FLAT_MEM_SIZE: u32 = 16 << 20;
 /// Flat-boot data segment base.
 const FLAT_DATA_BASE: u32 = 0x0010_0000;
+/// Cores whose lanes one [`Machine::run_burst`] remembers: the paper's
+/// largest core count. A burst allocates nothing, since traced runs
+/// make one burst per step.
+const LANE_CACHE: usize = 4;
 
 /// Outcome of executing one instruction on one core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +35,17 @@ pub enum StepResult {
     Trap(Trap),
     /// The core executed `halt`.
     Halted,
+}
+
+/// What one [`Machine::run_burst`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Burst {
+    /// The core of the last step: the one the caller services next.
+    pub core: usize,
+    /// Steps taken over all cores (at least one).
+    pub steps: u64,
+    /// The last step's result.
+    pub result: StepResult,
 }
 
 /// Errors from the bare-metal convenience runner.
@@ -154,8 +169,8 @@ impl MachineState {
 /// The simulated multicore machine: cores, physical memory, caches and
 /// the loaded text section.
 ///
-/// The kernel model drives it through [`Machine::next_core`] /
-/// [`Machine::step`]; bare-metal programs can use
+/// The kernel model drives it through [`Machine::run_burst`], which
+/// interleaves the cores itself; bare-metal programs can use
 /// [`Machine::run_to_halt`].
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -347,13 +362,37 @@ impl Machine {
     /// The runnable core with the smallest local cycle count (ties break
     /// toward lower core ids). `None` when every core is halted.
     pub fn next_core(&self) -> Option<usize> {
-        self.state
-            .cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_halted())
-            .min_by_key(|(i, c)| (c.cycles(), *i))
-            .map(|(i, _)| i)
+        self.elect().map(|(core, _)| core)
+    }
+
+    /// The interleaving rule, written once: [`Machine::next_core`]'s
+    /// core, plus the clock at which it stops winning. A rival core `j`
+    /// wins once the elected core's clock reaches `cycles_j`, or
+    /// `cycles_j + 1` when `j` has the higher id and so loses ties; the
+    /// bound is the least of these (`u64::MAX` when no rival runs).
+    /// While the elected core's clock stays below it, electing again
+    /// picks the same core.
+    ///
+    /// One pass in id order: every core seen before a new leader has a
+    /// clock at or above the old leader's and a lower id than the new
+    /// one, so the old leader's clock is then the exact bound.
+    fn elect(&self) -> Option<(usize, u64)> {
+        let mut best: Option<(usize, u64)> = None;
+        let mut until = u64::MAX;
+        for (i, c) in self.state.cores.iter().enumerate() {
+            if c.halted {
+                continue;
+            }
+            match best {
+                Some((_, lead)) if c.cycles >= lead => until = until.min(c.cycles + 1),
+                Some((_, lead)) => {
+                    until = lead;
+                    best = Some((i, c.cycles));
+                }
+                None => best = Some((i, c.cycles)),
+            }
+        }
+        best.map(|(core, _)| (core, until))
     }
 
     /// The maximum local cycle count over all cores (the machine's wall
@@ -362,26 +401,28 @@ impl Machine {
         self.state.max_cycles()
     }
 
-    /// Executes up to `budget` instructions on `core`, stopping early
-    /// the moment a step yields anything but
-    /// [`StepResult::Executed`] or the core's cycle clock reaches
-    /// `cycle_cap`. Returns the number of steps taken (at least one)
-    /// and the last step's result.
+    /// Runs the cores in the deterministic interleaving until the kernel
+    /// has to look: elects a core ([`Machine::next_core`]), steps it
+    /// until another core would win the election, elects again, and so
+    /// on. Returns after a step that is not [`StepResult::Executed`],
+    /// after `budget` steps over all cores, or once the stepped core's
+    /// clock reaches its own cap; `None`, having stepped nothing, when
+    /// every core is halted.
     ///
-    /// This is purely a dispatch-overhead optimisation: every
-    /// individual step is a full [`Machine::step`], so a burst of `n`
-    /// steps leaves the machine in exactly the state `n` single steps
-    /// would. Callers pick `cycle_cap` so that nothing *between* steps
-    /// could have mattered (scheduler election, preemption quantum,
-    /// watchdogs, injection fences). When tracing is enabled the
-    /// budget degrades to one step so tick boundaries stay per-step.
-    pub fn run_burst(
+    /// `lane(core)` gives an elected core's permission map and its cap:
+    /// the first clock at which the kernel could act between two of its
+    /// steps (a watchdog, a preemption quantum, a pause fence). Below
+    /// every cap the kernel's visit after a plain step is a no-op and
+    /// its next election is the one made here, so a burst of `n` steps
+    /// leaves the machine in exactly the state of `n` one-step bursts.
+    /// With one runnable core the burst is a plain step loop, and with
+    /// tracing on the budget degrades to one step so trace ticks stay
+    /// per-step.
+    pub fn run_burst<'p>(
         &mut self,
-        core: usize,
-        perm: &PermissionMap,
         budget: u64,
-        cycle_cap: u64,
-    ) -> (u64, StepResult) {
+        lane: impl Fn(usize) -> (&'p PermissionMap, u64),
+    ) -> Option<Burst> {
         let budget = if self.trace.is_some() {
             1
         } else {
@@ -389,36 +430,58 @@ impl Machine {
         };
         // With every per-step observer off (no profile, no trace, no
         // conformance checker, not in reference mode) the `step`
-        // wrapper's pre/post bookkeeping is dead weight; drive the
-        // fast path directly. One step of either loop is
-        // state-identical to one `Machine::step` call.
+        // wrapper's pre/post bookkeeping is dead weight; drive the fast
+        // path directly. An elected core is runnable and a plain step
+        // never halts it, so the wrapper's halt check is dead too. One
+        // step of either loop is state-identical to one `Machine::step`.
         let plain = self.profile.is_none() && !self.check_effects && !self.ref_exec;
-        let mut n = 0u64;
         if plain && budget > 1 {
-            loop {
-                if self.state.cores[core].is_halted() {
-                    return (n + 1, StepResult::Halted);
-                }
-                let pc = self.state.cores[core].pc();
-                let r = self.step_fast(core, perm, pc);
-                n += 1;
-                if !matches!(r, StepResult::Executed)
-                    || n >= budget
-                    || self.state.cores[core].cycles() >= cycle_cap
-                {
-                    return (n, r);
-                }
-            }
+            self.burst_with(budget, lane, |m, core, perm| {
+                let pc = m.state.cores[core].pc();
+                m.step_fast(core, perm, pc)
+            })
+        } else {
+            self.burst_with(budget, lane, Machine::step)
         }
+    }
+
+    /// [`Machine::run_burst`]'s election loop over one step function.
+    #[inline(always)]
+    fn burst_with<'p>(
+        &mut self,
+        budget: u64,
+        lane: impl Fn(usize) -> (&'p PermissionMap, u64),
+        step: impl Fn(&mut Machine, usize, &PermissionMap) -> StepResult,
+    ) -> Option<Burst> {
+        let (mut core, mut until) = self.elect()?;
+        let mut steps = 0u64;
+        // A lane cannot change within a burst, so lockstep switches ask
+        // `lane` once per core (beyond `LANE_CACHE` cores, every time).
+        let mut lanes: [Option<(&PermissionMap, u64)>; LANE_CACHE] = [None; LANE_CACHE];
         loop {
-            let r = self.step(core, perm);
-            n += 1;
-            if !matches!(r, StepResult::Executed)
-                || n >= budget
-                || self.state.cores[core].cycles() >= cycle_cap
-            {
-                return (n, r);
+            let (perm, cap) = match lanes.get_mut(core) {
+                Some(slot) => *slot.get_or_insert_with(|| lane(core)),
+                None => lane(core),
+            };
+            let stop = cap.min(until);
+            loop {
+                let result = step(self, core, perm);
+                steps += 1;
+                let cycles = self.state.cores[core].cycles();
+                if !matches!(result, StepResult::Executed) || steps >= budget || cycles >= stop {
+                    // Past the election bound but below its own cap, the
+                    // core only hands over to the next election.
+                    if matches!(result, StepResult::Executed) && steps < budget && cycles < cap {
+                        break;
+                    }
+                    return Some(Burst {
+                        core,
+                        steps,
+                        result,
+                    });
+                }
             }
+            (core, until) = self.elect().expect("the stepped core is still runnable");
         }
     }
 
@@ -1698,18 +1761,20 @@ impl Machine {
                 exec: true,
             },
         );
-        for _ in 0..max_steps {
-            let Some(core) = self.next_core() else {
+        let mut left = max_steps;
+        while left > 0 {
+            let Some(burst) = self.run_burst(left, |_| (&perm, u64::MAX)) else {
                 return Ok(());
             };
-            match self.step(core, &perm) {
+            left -= burst.steps;
+            match burst.result {
                 StepResult::Executed => {}
                 StepResult::Halted => return Ok(()),
                 StepResult::Trap(t) => return Err(RunError::Trap(t)),
                 StepResult::Svc(num) => {
                     return Err(RunError::UnhandledSvc {
                         num,
-                        pc: self.state.cores[core].pc(),
+                        pc: self.state.cores[burst.core].pc(),
                     })
                 }
             }
@@ -2230,6 +2295,91 @@ mod tests {
         assert_eq!(m.next_core(), Some(1), "core 1 lags, runs first");
         m.core_mut(1).advance_idle(100);
         assert_eq!(m.next_core(), Some(0), "tie broken by id");
+    }
+
+    /// Bursts interleave cores exactly as one-step bursts do, whatever
+    /// the caps: same step count, same final state, and a burst stops
+    /// as soon as any core reaches its cap.
+    #[test]
+    fn bursts_interleave_like_single_steps() {
+        let isa = IsaKind::Sira64;
+        let (n, x, y, shared, old) = (Reg(1), Reg(2), Reg(3), Reg(4), Reg(5));
+        let (delay, t) = (Reg(6), Reg(7));
+        let mut asm = Asm::new(isa);
+        asm.global_fn("_start");
+        asm.data_u64("shared", &[0]);
+        asm.lea_data(shared, "shared");
+        // Per core (the stacks are 64 KiB apart) a trip count and a
+        // delay loop of 3, 2 or 1 turns, so the cores drift past each
+        // other; a shared fetch-add whose old values record the
+        // interleaving; and a store to a fresh line per trip, whose
+        // misses skew the clocks further.
+        asm.lsri(n, isa.sp(), 16);
+        asm.subi(delay, n, 252);
+        let done = asm.new_label();
+        let top = asm.here();
+        asm.cmpi(n, 0);
+        asm.bc(Cond::Eq, done);
+        asm.mov(t, delay);
+        let spin = asm.here();
+        asm.subi(t, t, 1);
+        asm.cmpi(t, 0);
+        asm.bc(Cond::Ne, spin);
+        asm.amoadd(old, shared, n);
+        asm.ld(x, isa.sp(), -64);
+        asm.add(x, x, old);
+        asm.st(x, isa.sp(), -64);
+        asm.lsli(y, n, 6);
+        asm.sub(y, isa.sp(), y);
+        asm.st(x, y, 0);
+        asm.subi(n, n, 1);
+        asm.b(top);
+        asm.bind(done);
+        asm.halt();
+        let image = link(isa, &[asm.into_object()]).unwrap();
+        let boot = || {
+            let mut m = Machine::boot_flat(&image, 3);
+            for core in 1..3 {
+                m.core_mut(core).set_halted(false);
+            }
+            m
+        };
+        let mut perm = PermissionMap::new(FLAT_MEM_SIZE);
+        perm.map_range(
+            0,
+            FLAT_MEM_SIZE,
+            Perms {
+                read: true,
+                write: true,
+                exec: true,
+            },
+        );
+        let mut single = boot();
+        let mut steps = 0;
+        while let Some(burst) = single.run_burst(1, |_| (&perm, u64::MAX)) {
+            assert_eq!(burst.steps, 1);
+            steps += 1;
+        }
+        for period in [None, Some(37)] {
+            let mut m = boot();
+            let mut total = 0;
+            loop {
+                let clocks: Vec<u64> = (0..3).map(|c| m.core(c).cycles()).collect();
+                let cap = |c: usize| period.map_or(u64::MAX, |p| (clocks[c] / p + 1) * p);
+                let Some(burst) = m.run_burst(u64::MAX, |c| (&perm, cap(c))) else {
+                    break;
+                };
+                total += burst.steps;
+                for c in (0..3).filter(|&c| c != burst.core) {
+                    assert!(m.core(c).cycles() < cap(c), "core {c} ran past its cap");
+                }
+                if burst.result == StepResult::Executed {
+                    assert!(m.core(burst.core).cycles() >= cap(burst.core));
+                }
+            }
+            assert_eq!(total, steps, "period {period:?}");
+            assert!(m.state_matches(&single.snapshot()), "period {period:?}");
+        }
     }
 
     #[test]

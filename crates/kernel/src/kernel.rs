@@ -4,7 +4,7 @@ use crate::abi;
 use crate::layout::{MemLayout, RegionAlloc};
 use crate::outcome::{RunOutcome, RunReport};
 use crate::proc::{BlockReason, Message, PendingRecv, Pid, Process, Thread, ThreadState, Tid};
-use fracas_cpu::{CoreContext, Machine, MachineSnapshot, StepResult, Trap};
+use fracas_cpu::{Burst, CoreContext, Machine, MachineSnapshot, StepResult, Trap};
 use fracas_isa::{Image, Reg};
 use fracas_mem::{CacheParams, MemError, PageSet, Perms};
 use std::collections::{HashMap, VecDeque};
@@ -108,9 +108,8 @@ struct LockState {
 /// Everything a tick reads of the kernel except the machine: the one
 /// declaration of what [`Kernel::snapshot`] captures, [`Kernel::restore`]
 /// revives and [`Kernel::state_matches`] compares. A field added here is
-/// captured, restored and compared with no further edit; the one thing
-/// a kernel holds outside it besides the machine is the scheduler's
-/// clock mirror, which is derived and rebuilt on restore.
+/// captured, restored and compared with no further edit; a kernel holds
+/// nothing else besides the machine.
 ///
 /// Fields are declared in comparison order: counters and the console
 /// digest first, so the derived `==` of a diverged run usually fails
@@ -140,20 +139,6 @@ struct KernelState {
 pub struct Kernel {
     machine: Machine,
     state: KernelState,
-    /// Dense mirror of each core's cycle clock, the scheduler's
-    /// election input. Purely a derived cache (never snapshotted or
-    /// compared): rebuilt from the machine whenever `sched_dirty`,
-    /// and updated incrementally after each burst — a burst ending in
-    /// plain execution changes nothing but the stepped core's clock,
-    /// so the other entries stay exact without re-reading the cores.
-    sched_cycles: Vec<u64>,
-    /// Mirror of `!core.is_halted()` (same caching discipline).
-    sched_live: Vec<bool>,
-    /// Set whenever anything other than a plain executed burst may
-    /// have touched a core clock or halt bit: boot, restore, outside
-    /// access through [`Kernel::machine_mut`], syscalls, traps,
-    /// preemption, thread dispatch.
-    sched_dirty: bool,
 }
 
 /// A frozen copy of a [`Kernel`] (and its machine) at one tick boundary,
@@ -256,7 +241,7 @@ impl Kernel {
             locks: HashMap::new(),
             console: Vec::new(),
         };
-        let mut kernel = Kernel::with_state(machine, state);
+        let mut kernel = Kernel { machine, state };
         kernel.fill_cores();
         // Boot is deterministic, so the image/stack writes above are
         // common to every run; dirty-page tracking starts at the first
@@ -272,8 +257,6 @@ impl Kernel {
 
     /// Mutable machine access (fault injection).
     pub fn machine_mut(&mut self) -> &mut Machine {
-        // The caller may change clocks or halt bits arbitrarily.
-        self.sched_dirty = true;
         &mut self.machine
     }
 
@@ -286,7 +269,6 @@ impl Kernel {
     /// order; anything else is discarded by the ready-queue pop's
     /// validation and surfaces as a lost wakeup.
     pub fn flip_runq(&mut self, slot: u32, bit: u32) {
-        self.sched_dirty = true;
         if let Some(entry) = self.state.ready.get_mut(slot as usize) {
             *entry ^= 1 << (bit % 32);
         }
@@ -298,7 +280,6 @@ impl Kernel {
     /// Out-of-range pids and pages are ignored (no-op, involution
     /// preserved).
     pub fn flip_page_perm(&mut self, pid: u32, page: u32, bit: u32) {
-        self.sched_dirty = true;
         if let Some(p) = self.state.procs.get_mut(pid as usize) {
             p.perm.flip_page_bit(page, bit);
         }
@@ -376,20 +357,6 @@ impl Kernel {
 
     // ----- checkpoint / restore -------------------------------------------
 
-    /// Wraps `machine` and `state` with a scheduler clock mirror marked
-    /// for rebuild: the one constructor behind [`Kernel::boot`] and
-    /// [`Kernel::restore`].
-    fn with_state(machine: Machine, state: KernelState) -> Kernel {
-        let cores = machine.core_count();
-        Kernel {
-            machine,
-            state,
-            sched_cycles: vec![0; cores],
-            sched_live: vec![false; cores],
-            sched_dirty: true,
-        }
-    }
-
     /// Captures the complete kernel state — machine, region allocator,
     /// process table, threads, run queue, core bindings, message queues,
     /// barriers, locks, console and accounting — at the current tick
@@ -421,7 +388,10 @@ impl Kernel {
     /// Reconstructs a kernel from a snapshot (every machine observer
     /// off — see [`Machine::snapshot`]).
     pub fn restore(snap: &KernelSnapshot) -> Kernel {
-        Kernel::with_state(Machine::restore(&snap.machine), snap.state.clone())
+        Kernel {
+            machine: Machine::restore(&snap.machine),
+            state: snap.state.clone(),
+        }
     }
 
     /// True when this kernel's complete state — machine and all
@@ -459,42 +429,44 @@ impl Kernel {
     }
 
     fn tick_inner(&mut self, limits: &Limits, fence: Fence) -> Option<RunOutcome> {
-        if self.sched_dirty {
-            self.refresh_sched();
-        }
-        // Core election over the dense clock mirror — the same rule as
-        // `Machine::next_core` (lowest clock wins, ties to the lowest
-        // id) — plus the elected core's election cap: while its clock
-        // stays below the cap, re-running the election picks it again,
-        // so consecutive steps batch into one burst. The exact boundary
-        // is `min_j(cy_j + (j > i))`; the raw second-lowest runnable
-        // clock errs at most one cycle low, which only ends a burst a
-        // step early, never late.
-        let mut wall = 0u64;
-        let mut best: Option<(u64, usize)> = None;
-        let mut elect_cap = u64::MAX;
-        for (i, &cy) in self.sched_cycles.iter().enumerate() {
-            wall = wall.max(cy);
-            if !self.sched_live[i] {
-                continue;
-            }
-            match best {
-                Some((bc, _)) if cy >= bc => elect_cap = elect_cap.min(cy),
-                _ => {
-                    if let Some((bc, _)) = best {
-                        elect_cap = elect_cap.min(bc);
-                    }
-                    best = Some((cy, i));
-                }
-            }
-        }
-        if wall >= limits.max_cycles {
+        if self.machine.max_cycles() >= limits.max_cycles {
             return Some(self.finish(RunOutcome::CycleLimit));
         }
         if self.state.steps >= limits.max_steps {
             return Some(self.finish(RunOutcome::StepLimit));
         }
-        let Some((_, core)) = best else {
+        // The machine elects cores and runs them until a step needs the
+        // kernel or a core reaches its cap: the first clock at which a
+        // between-step kernel action could fire on it — exhausting its
+        // preemption quantum (which only matters while the ready queue
+        // is non-empty, and the queue can only grow via syscalls, which
+        // end the burst), tripping the cycle watchdog, or crossing a
+        // pacing fence. Below every cap each skipped kernel visit is a
+        // no-op, so an n-step burst is state-identical to n single-step
+        // ticks.
+        let state = &self.state;
+        let burst = self
+            .machine
+            .run_burst(limits.max_steps - state.steps, |core| {
+                let tid = state.core_thread[core].expect("running core must host a thread");
+                let pid = state.threads[tid as usize].pid;
+                let mut cap = limits.max_cycles;
+                if !state.ready.is_empty() {
+                    cap = cap.min(state.dispatched_at[core].saturating_add(state.spec.quantum));
+                }
+                match fence {
+                    Fence::Core(c, f) if c == core => cap = cap.min(f),
+                    Fence::Wall(f) => cap = cap.min(f),
+                    Fence::Core(..) | Fence::None => {}
+                }
+                (&state.procs[pid as usize].perm, cap)
+            });
+        let Some(Burst {
+            core,
+            steps,
+            result,
+        }) = burst
+        else {
             let outcome = if self.live_threads() == 0 {
                 RunOutcome::Exited {
                     code: self.aggregate_code(),
@@ -504,47 +476,15 @@ impl Kernel {
             };
             return Some(self.finish(outcome));
         };
+        self.state.steps += steps;
         let tid = self.state.core_thread[core].expect("running core must host a thread");
         let pid = self.state.threads[tid as usize].pid;
-        // Burst cap: the core may keep stepping, without the kernel
-        // looking in between, until the first cycle count at which any
-        // between-step kernel action could fire — losing the election,
-        // exhausting its preemption quantum (which only matters while
-        // the ready queue is non-empty, and the queue can only grow
-        // via syscalls, which end the burst), tripping the cycle
-        // watchdog, or crossing a pacing fence. Every skipped
-        // kernel visit is provably a no-op, so an n-step burst is
-        // state-identical to n single-step ticks.
-        let mut cap = elect_cap.min(limits.max_cycles);
-        if !self.state.ready.is_empty() {
-            cap = cap.min(self.state.dispatched_at[core].saturating_add(self.state.spec.quantum));
-        }
-        match fence {
-            Fence::Core(c, f) if c == core => cap = cap.min(f),
-            Fence::Wall(f) => cap = cap.min(f),
-            Fence::Core(..) | Fence::None => {}
-        }
-        let budget = limits.max_steps - self.state.steps;
-        let (n, result) =
-            self.machine
-                .run_burst(core, &self.state.procs[pid as usize].perm, budget, cap);
-        self.state.steps += n;
-        // A burst only advances the stepped core's clock; fold that
-        // back into the mirror. Anything beyond plain execution
-        // (preemption, syscalls, traps) can move other clocks or halt
-        // bits, so those paths mark the mirror dirty instead.
-        self.sched_cycles[core] = self.machine.core(core).cycles();
         match result {
             StepResult::Executed => {
-                if self.maybe_preempt(core, tid) {
-                    self.sched_dirty = true;
-                }
+                self.maybe_preempt(core, tid);
                 None
             }
-            StepResult::Svc(num) => {
-                self.sched_dirty = true;
-                self.syscall(core, tid, num)
-            }
+            StepResult::Svc(num) => self.syscall(core, tid, num),
             StepResult::Trap(trap) => Some(self.finish(RunOutcome::Trapped { trap, pid })),
             StepResult::Halted => {
                 let pc = self.machine.core(core).pc().wrapping_sub(4);
@@ -554,16 +494,6 @@ impl Kernel {
                 }))
             }
         }
-    }
-
-    /// Rebuilds the scheduler's clock/halt mirror from the machine.
-    fn refresh_sched(&mut self) {
-        for i in 0..self.sched_cycles.len() {
-            let c = self.machine.core(i);
-            self.sched_cycles[i] = c.cycles();
-            self.sched_live[i] = !c.is_halted();
-        }
-        self.sched_dirty = false;
     }
 
     fn finish(&mut self, outcome: RunOutcome) -> RunOutcome {
@@ -677,14 +607,15 @@ impl Kernel {
         }
     }
 
-    /// Returns whether a preemption (context switch) happened.
-    fn maybe_preempt(&mut self, core: usize, tid: Tid) -> bool {
+    /// Switches `core` to the next ready thread once `tid` has used up
+    /// its quantum and another thread waits.
+    fn maybe_preempt(&mut self, core: usize, tid: Tid) {
         if self.state.ready.is_empty() {
-            return false;
+            return;
         }
         let now = self.machine.core(core).cycles();
         if now - self.state.dispatched_at[core] < self.state.spec.quantum {
-            return false;
+            return;
         }
         let ctx = self.machine.core(core).save_context();
         self.machine.trace_save(core, tid);
@@ -698,7 +629,6 @@ impl Kernel {
         let next = self.pop_ready().expect("current thread is queued ready");
         self.state.core_thread[core] = None;
         self.dispatch(core, next);
-        true
     }
 
     // ----- console --------------------------------------------------------

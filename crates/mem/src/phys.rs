@@ -82,6 +82,11 @@ pub struct PhysMem {
     /// could have changed instead of scanning all of physical memory.
     /// Every write to `bytes` must mark its pages here.
     dirty: PageSet,
+    /// Pages written before the dirty set was last reset: the dirty
+    /// set is folded in at every reset, and a restored memory starts
+    /// from its snapshot's page list. Every page outside `written` and
+    /// `dirty` is all-zero, so [`PhysMem::snapshot`] visits only these.
+    written: PageSet,
 }
 
 impl PhysMem {
@@ -90,6 +95,7 @@ impl PhysMem {
         PhysMem {
             bytes: vec![0; size as usize],
             dirty: PageSet::for_mem(size),
+            written: PageSet::for_mem(size),
         }
     }
 
@@ -244,14 +250,17 @@ impl PhysMem {
     /// small and restores cheap.
     ///
     /// This is [`PhysMem::snapshot_since`] over an empty base with every
-    /// page dirty, so it scans all of memory; a checkpoint ladder pays
-    /// that scan once, for its first rung.
+    /// page ever written dirty: a page never written is zero, so the
+    /// scan skips it and costs the pages the memory has used, not its
+    /// size.
     pub fn snapshot(&self) -> MemSnapshot {
         let empty = MemSnapshot {
             size: self.size(),
             pages: Vec::new(),
         };
-        self.snapshot_since(&empty, &PageSet::full(self.size()))
+        let mut used = self.written.clone();
+        used.union_with(&self.dirty);
+        self.snapshot_since(&empty, &used)
     }
 
     /// Captures a snapshot incrementally from `base`, an earlier
@@ -350,11 +359,13 @@ impl PhysMem {
     /// checkpoint mark, so segments between checkpoints record exactly
     /// the pages that segment wrote).
     pub fn clear_dirty(&mut self) {
+        self.written.union_with(&self.dirty);
         self.dirty.clear();
     }
 
     /// Returns the dirty set and resets tracking in one step.
     pub fn take_dirty(&mut self) -> PageSet {
+        self.written.union_with(&self.dirty);
         let size = self.size();
         std::mem::replace(&mut self.dirty, PageSet::for_mem(size))
     }
@@ -475,13 +486,16 @@ impl MemSnapshot {
     /// this snapshot's capture point".
     pub fn restore(&self) -> PhysMem {
         let mut bytes = vec![0u8; self.size as usize];
+        let mut written = PageSet::for_mem(self.size);
         for (offset, page) in &self.pages {
             let start = *offset as usize;
             bytes[start..start + page.len()].copy_from_slice(page);
+            written.insert(start / SNAP_PAGE);
         }
         PhysMem {
             bytes,
             dirty: PageSet::for_mem(self.size),
+            written,
         }
     }
 

@@ -4,8 +4,10 @@
 //! memory marks the pages it touches dirty. These properties drive
 //! random write sequences through every writer, chain incremental
 //! snapshots over [`PhysMem::take_dirty`] the way checkpoint capture
-//! does, and hold each one to the full-scan snapshot of the same
-//! instant.
+//! does, and hold each one to the full snapshot of the same instant and
+//! to a byte comparison over all of memory. [`PhysMem::snapshot`]
+//! visits only pages ever written, so the chain also continues on
+//! restored memories, whose written pages come from the snapshot.
 
 use fracas_mem::{MemSnapshot, PhysMem};
 use proptest::prelude::*;
@@ -81,16 +83,17 @@ fn apply(mem: &mut PhysMem, op: &Op) {
 }
 
 proptest! {
-    /// Every snapshot of an incremental chain equals the full-scan
-    /// snapshot taken at the same instant, page for page, and each one
-    /// restores to a memory that matches the other.
+    /// Every snapshot of an incremental chain equals the full snapshot
+    /// taken at the same instant, page for page, and each one restores
+    /// to a memory that matches the other. Every other link of the
+    /// chain continues on the memory restored from its snapshot.
     #[test]
     fn incremental_chain_equals_full_scan(ops in proptest::collection::vec(op(), 1..80)) {
         let mut mem = PhysMem::new(SIZE);
         let mut prev: Option<MemSnapshot> = None;
         let snaps = ops.iter().filter(|op| matches!(op, Op::Snap)).count() + 1;
         let mut ops = ops.iter();
-        for _ in 0..snaps {
+        for link in 0..snaps {
             for op in ops.by_ref().take_while(|op| !matches!(op, Op::Snap)) {
                 apply(&mut mem, op);
             }
@@ -106,6 +109,9 @@ proptest! {
             prop_assert!(incremental.restore().matches_snapshot(&full));
             prop_assert!(full.restore().matches_snapshot(&incremental));
             prop_assert!(mem.matches_snapshot(&incremental));
+            if link % 2 == 1 {
+                mem = incremental.restore();
+            }
             prev = Some(incremental);
         }
     }
