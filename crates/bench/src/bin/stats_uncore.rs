@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! stats_uncore [--isa ...] [--model ...] [--app NAME] [--cores N]
-//!              [--faults N] [--seed N] [--gate]
+//!              [--faults N] [--seed N]
 //! ```
 //!
 //! Defaults to the paper's EP programming-model × ISA matrix (pass
@@ -17,8 +17,8 @@
 //! here, because the L2 metadata bits outnumber the skip bits five
 //! orders of magnitude and uniform sampling would never draw a skip —
 //! plus one over the register baseline; each sweep overlaps its
-//! scenarios in the fleet's shared worker pool. With `--gate`,
-//! accounting violations fail the run; it is the CI hook behind the
+//! scenarios in the fleet's shared worker pool. Accounting violations
+//! fail the run with exit status 1; this is the CI hook behind the
 //! "no silent `None`" guarantee:
 //!
 //! * every uncore fault is either statically decided (provably never
@@ -47,7 +47,7 @@ use fracas_bench::cli::{Parser, SweepOpts};
 use std::time::Instant;
 
 const USAGE: &str = "stats_uncore [--isa sira32|sira64] [--model ser|omp|mpi] [--app NAME] \
-     [--cores N] [--faults N] [--seed N] [--gate]";
+     [--cores N] [--faults N] [--seed N]";
 
 /// The registry domains under report, display order, with their
 /// masking-rate column labels.
@@ -80,7 +80,6 @@ static EXPECTED_QUIET: [(&Domain, &str); 2] = [
 
 fn main() {
     let mut opts = SweepOpts::default();
-    let mut gate = false;
     let mut p = Parser::new(USAGE);
     while let Some(flag) = p.next_flag() {
         if opts.filter.accept(&mut p, &flag) {
@@ -89,7 +88,6 @@ fn main() {
         match flag.as_str() {
             "--faults" => opts.faults = Some(p.parsed(&flag)),
             "--seed" => opts.seed = Some(p.parsed(&flag)),
-            "--gate" => gate = true,
             other => p.unknown(other),
         }
     }
@@ -295,13 +293,10 @@ fn main() {
         for v in &violations {
             eprintln!("VIOLATION: {v}");
         }
-        if gate {
-            eprintln!("--gate: {} accounting violation(s)", violations.len());
-            std::process::exit(1);
-        }
-    } else if gate {
-        eprintln!("--gate: accounting clean");
+        eprintln!("{} accounting violation(s)", violations.len());
+        std::process::exit(1);
     }
+    eprintln!("accounting clean");
 }
 
 /// Adds `from` into `into`, outcome by outcome.

@@ -18,8 +18,8 @@ const FLAT_MEM_SIZE: u32 = 16 << 20;
 /// Flat-boot data segment base.
 const FLAT_DATA_BASE: u32 = 0x0010_0000;
 /// Cores whose lanes one [`Machine::run_burst`] remembers: the paper's
-/// largest core count. A burst allocates nothing, since traced runs
-/// make one burst per step.
+/// largest core count. A burst allocates nothing; on a larger machine
+/// it asks for the lanes of the cores past this one at every switch.
 const LANE_CACHE: usize = 4;
 
 /// Outcome of executing one instruction on one core.
@@ -414,28 +414,24 @@ impl Machine {
     /// steps (a watchdog, a preemption quantum, a pause fence). Below
     /// every cap the kernel's visit after a plain step is a no-op and
     /// its next election is the one made here, so a burst of `n` steps
-    /// leaves the machine in exactly the state of `n` one-step bursts.
-    /// With one runnable core the burst is a plain step loop, and with
-    /// tracing on the budget degrades to one step so trace ticks stay
-    /// per-step.
+    /// leaves the machine in exactly the state of `n` one-step bursts,
+    /// and a traced burst records the events of `n` one-step bursts,
+    /// stamps included (see [`crate::trace`]). With one runnable core the
+    /// burst is a plain step loop.
     pub fn run_burst<'p>(
         &mut self,
         budget: u64,
         lane: impl Fn(usize) -> (&'p PermissionMap, u64),
     ) -> Option<Burst> {
-        let budget = if self.trace.is_some() {
-            1
-        } else {
-            budget.max(1)
-        };
         // With every per-step observer off (no profile, no trace, no
         // conformance checker, not in reference mode) the `step`
         // wrapper's pre/post bookkeeping is dead weight; drive the fast
         // path directly. An elected core is runnable and a plain step
         // never halts it, so the wrapper's halt check is dead too. One
         // step of either loop is state-identical to one `Machine::step`.
-        let plain = self.profile.is_none() && !self.check_effects && !self.ref_exec;
-        if plain && budget > 1 {
+        let plain =
+            self.profile.is_none() && self.trace.is_none() && !self.check_effects && !self.ref_exec;
+        if plain {
             self.burst_with(budget, lane, |m, core, perm| {
                 let pc = m.state.cores[core].pc();
                 m.step_fast(core, perm, pc)
@@ -546,10 +542,12 @@ impl Machine {
         ));
     }
 
-    /// Takes the accumulated trace, disabling tracing (`None` if
-    /// tracing was never enabled).
+    /// Takes the accumulated trace with its last tick closed, disabling
+    /// tracing (`None` if tracing was never enabled).
     pub fn take_trace(&mut self) -> Option<ExecTrace> {
-        self.trace.take()
+        let mut trace = self.trace.take()?;
+        trace.close_tick(&self.state.cores);
+        Some(trace)
     }
 
     /// The trace being recorded (`None` unless tracing is enabled), for
@@ -578,16 +576,6 @@ impl Machine {
     pub fn trace_ctx_write(&mut self, tid: u32) {
         if let Some(t) = &mut self.trace {
             t.push(0, TraceKind::CtxWrite { tid });
-        }
-    }
-
-    /// Closes the current kernel tick: stamps the tick's events with
-    /// the per-core end-of-tick cycle clocks (see [`crate::trace`] for
-    /// why stamping happens at the boundary).
-    pub fn trace_tick_end(&mut self) {
-        if let Some(t) = &mut self.trace {
-            let cores = &self.state.cores;
-            t.end_tick(|core| cores[core as usize].cycles());
         }
     }
 
@@ -842,16 +830,19 @@ impl Machine {
     // ----- interpreter ----------------------------------------------------
 
     /// Executes one instruction on `core` under the given process
-    /// permission map.
+    /// permission map. A traced step opens a new trace tick.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
     pub fn step(&mut self, core: usize, perm: &PermissionMap) -> StepResult {
-        let c = &self.state.cores[core];
-        if c.is_halted() {
+        if self.state.cores[core].is_halted() {
             return StepResult::Halted;
         }
+        if let Some(t) = &mut self.trace {
+            t.open_tick(&self.state.cores);
+        }
+        let c = &self.state.cores[core];
         let pc = c.pc();
         let cycles_before = c.cycles();
         // Retirement counters (executed and annulled), not the cycle
@@ -877,13 +868,11 @@ impl Machine {
                 }
             }
         }
-        if self.trace.is_some() {
+        if let Some(t) = &mut self.trace {
             let stats = &self.state.cores[core].stats;
             let skipped = stats.cond_skipped > skipped_before;
             if skipped || stats.instructions > instructions_before {
-                if let Some(t) = &mut self.trace {
-                    t.push(core as u32, TraceKind::Commit { pc, skipped });
-                }
+                t.push(core as u32, TraceKind::Commit { pc, skipped });
             }
         }
         result
@@ -2298,8 +2287,11 @@ mod tests {
     }
 
     /// Bursts interleave cores exactly as one-step bursts do, whatever
-    /// the caps: same step count, same final state, and a burst stops
-    /// as soon as any core reaches its cap.
+    /// the caps: same step count, same final state, the same trace, and
+    /// a burst stops as soon as any core reaches its cap. The one-step
+    /// trace holds one instruction per tick, and every event carries
+    /// the clocks its tick ended on, the stand-in kernel's charges
+    /// included.
     #[test]
     fn bursts_interleave_like_single_steps() {
         let isa = IsaKind::Sira64;
@@ -2313,7 +2305,8 @@ mod tests {
         // delay loop of 3, 2 or 1 turns, so the cores drift past each
         // other; a shared fetch-add whose old values record the
         // interleaving; and a store to a fresh line per trip, whose
-        // misses skew the clocks further.
+        // misses skew the clocks further. A `svc` per trip hands each
+        // core to the kernel.
         asm.lsri(n, isa.sp(), 16);
         asm.subi(delay, n, 252);
         let done = asm.new_label();
@@ -2326,6 +2319,7 @@ mod tests {
         asm.cmpi(t, 0);
         asm.bc(Cond::Ne, spin);
         asm.amoadd(old, shared, n);
+        asm.svc(7);
         asm.ld(x, isa.sp(), -64);
         asm.add(x, x, old);
         asm.st(x, isa.sp(), -64);
@@ -2337,12 +2331,25 @@ mod tests {
         asm.bind(done);
         asm.halt();
         let image = link(isa, &[asm.into_object()]).unwrap();
-        let boot = || {
+        let boot = |traced: bool| {
             let mut m = Machine::boot_flat(&image, 3);
             for core in 1..3 {
                 m.core_mut(core).set_halted(false);
             }
+            if traced {
+                m.enable_trace();
+            }
             m
+        };
+        // A stand-in kernel for the steps that end every burst: it
+        // charges a syscall and records an event after the commit.
+        let kernel = |m: &mut Machine, burst: Burst| match burst.result {
+            StepResult::Svc(_) => {
+                m.core_mut(burst.core).advance_kernel(11);
+                m.trace_save(burst.core, 1);
+            }
+            StepResult::Halted => m.trace_save(burst.core, 2),
+            StepResult::Executed | StepResult::Trap(_) => {}
         };
         let mut perm = PermissionMap::new(FLAT_MEM_SIZE);
         perm.map_range(
@@ -2354,14 +2361,35 @@ mod tests {
                 exec: true,
             },
         );
-        let mut single = boot();
-        let mut steps = 0;
+        let mut single = boot(true);
+        let mut tick_ends: Vec<Vec<u64>> = Vec::new();
         while let Some(burst) = single.run_burst(1, |_| (&perm, u64::MAX)) {
             assert_eq!(burst.steps, 1);
-            steps += 1;
+            kernel(&mut single, burst);
+            tick_ends.push((0..3).map(|c| single.core(c).cycles()).collect());
         }
-        for period in [None, Some(37)] {
-            let mut m = boot();
+        let steps = tick_ends.len() as u64;
+        let trace = single.take_trace().expect("tracing is on");
+        let commit_ticks: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Commit { .. }))
+            .map(|e| e.tick)
+            .collect();
+        assert_eq!(commit_ticks, (0..steps).collect::<Vec<_>>());
+        for e in &trace.events {
+            assert_eq!(
+                e.cycle, tick_ends[e.tick as usize][e.core as usize],
+                "{e:?}"
+            );
+        }
+        for (period, traced) in [
+            (None, false),
+            (Some(37), false),
+            (None, true),
+            (Some(37), true),
+        ] {
+            let mut m = boot(traced);
             let mut total = 0;
             loop {
                 let clocks: Vec<u64> = (0..3).map(|c| m.core(c).cycles()).collect();
@@ -2376,9 +2404,12 @@ mod tests {
                 if burst.result == StepResult::Executed {
                     assert!(m.core(burst.core).cycles() >= cap(burst.core));
                 }
+                kernel(&mut m, burst);
             }
-            assert_eq!(total, steps, "period {period:?}");
-            assert!(m.state_matches(&single.snapshot()), "period {period:?}");
+            let run = format!("period {period:?}, traced {traced}");
+            assert_eq!(total, steps, "{run}");
+            assert!(m.state_matches(&single.snapshot()), "{run}");
+            assert_eq!(m.take_trace(), traced.then(|| trace.clone()), "{run}");
         }
     }
 
@@ -2529,23 +2560,31 @@ mod text_fault_tests {
         m.patch_text_word(2, 0xdead_beef);
     }
 
+    /// Draining between steps leaves the last step's tick open, and the
+    /// next tick keeps its number; every event is stamped with the
+    /// clock its tick ended on.
     #[test]
     fn draining_keeps_the_open_tick_and_the_tick_numbering() {
         let image = nop_image();
         let mut m = Machine::boot_flat(&image, 1);
+        let mut perm = PermissionMap::new(m.mem.size());
+        perm.map_range(0, m.mem.size(), Perms::RX);
         m.enable_trace();
+        assert_eq!(m.step(0, &perm), StepResult::Executed);
         m.trace_ctx_write(1);
-        m.trace_tick_end();
+        m.core_mut(0).advance_kernel(5);
+        let first_end = m.core(0).cycles();
+        assert_eq!(m.step(0, &perm), StepResult::Executed);
         m.trace_ctx_write(2);
         let trace = m.trace_mut().expect("tracing is on");
-        let closed: Vec<u64> = trace.drain_closed().map(|e| e.tick).collect();
-        assert_eq!(closed, vec![0]);
-        assert_eq!(trace.events.len(), 1, "the open tick's event stays");
-        m.trace_tick_end();
+        let closed: Vec<(u64, u64)> = trace.drain_closed().map(|e| (e.tick, e.cycle)).collect();
+        assert_eq!(closed, vec![(0, first_end); 2]);
+        assert_eq!(trace.events.len(), 2, "the open tick's events stay");
+        let last_end = m.core(0).cycles();
         let rest = m.take_trace().expect("tracing was on");
-        assert_eq!(rest.events.len(), 1);
-        assert_eq!(rest.events[0].tick, 1);
-        assert_eq!(rest.events[0].kind, TraceKind::CtxWrite { tid: 2 });
+        let stamps: Vec<(u64, u64)> = rest.events.iter().map(|e| (e.tick, e.cycle)).collect();
+        assert_eq!(stamps, vec![(1, last_end); 2]);
+        assert_eq!(rest.events[1].kind, TraceKind::CtxWrite { tid: 2 });
     }
 
     #[test]

@@ -27,14 +27,21 @@
 //! panics while tracing is on, so the text a trace was recorded against
 //! is the image's text, word for word.
 //!
-//! Every event carries the kernel tick it happened in and the acting
-//! core's local cycle clock at the *end* of that tick. End-of-tick
-//! stamping matters: syscall cost is added to a core's clock after the
-//! `Svc` commit of the same tick, and the injector's pause predicate
-//! (`run_until_core_cycle`) observes clocks only at tick boundaries.
-//! Stamping events with the boundary value makes "first event on core
-//! `k` with `cycle >= c`" coincide exactly with where a replayed run
-//! pauses to inject a fault at `(k, c)`.
+//! A trace **tick** is one step plus the kernel's handling of it. Every
+//! event carries its tick index and the acting core's local cycle clock
+//! at the *end* of that tick. End-of-tick stamping matters: syscall cost
+//! is added to a core's clock after the `Svc` commit of the same tick,
+//! and the injector's pause predicate (`run_until_core_cycle`) observes
+//! clocks only at tick boundaries. Stamping events with the boundary
+//! value makes "first event on core `k` with `cycle >= c`" coincide
+//! exactly with where a replayed run pauses to inject a fault at `(k, c)`.
+//! A traced step closes the open tick with the clocks it starts on, and
+//! [`Machine::take_trace`](crate::Machine::take_trace) closes the last
+//! one. Those are the end-of-tick clocks, whatever the burst length:
+//! nothing moves a clock between the kernel's handling of a step and the
+//! next step, and the kernel visits a burst skips are no-ops.
+
+use crate::Core;
 
 /// What one traced event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +87,8 @@ pub struct TraceEvent {
     /// context, not on any core, and consumers must key such events by
     /// tick order only.
     pub core: u32,
-    /// Kernel tick index (0-based from trace enablement) the event
-    /// belongs to. Events of one tick appear in program order.
+    /// Tick index: the number of traced steps before the tick's own.
+    /// Events of one tick appear in program order.
     pub tick: u64,
     /// `core`'s local cycle clock at the end of the event's tick.
     pub cycle: u64,
@@ -99,8 +106,8 @@ pub struct ExecTrace {
     /// boot). A fault cycle at or below `start_cycles[k]` landed before
     /// the first traced event of core `k`.
     pub start_cycles: Vec<u64>,
-    /// Tick index assigned to the next completed tick.
-    cur_tick: u64,
+    /// Traced steps so far; the open tick is number `steps - 1`.
+    steps: u64,
     /// Index of the first event of the still-open tick.
     tick_start: usize,
 }
@@ -111,13 +118,13 @@ impl ExecTrace {
         ExecTrace {
             events: Vec::new(),
             start_cycles,
-            cur_tick: 0,
+            steps: 0,
             tick_start: 0,
         }
     }
 
     /// Appends an event to the open tick with a provisional stamp;
-    /// [`ExecTrace::end_tick`] overwrites it with the boundary values.
+    /// closing the tick overwrites it with the boundary values.
     pub(crate) fn push(&mut self, core: u32, kind: TraceKind) {
         self.events.push(TraceEvent {
             core,
@@ -129,23 +136,31 @@ impl ExecTrace {
 
     /// Removes and returns the events of every closed tick, keeping
     /// the open tick's events and the buffer's capacity. A consumer that
-    /// digests the stream while the run is recorded drains it at tick
-    /// boundaries, so the buffer never holds the whole run.
+    /// digests the stream while the run is recorded drains it between
+    /// steps, so the buffer never holds the whole run.
     pub fn drain_closed(&mut self) -> std::vec::Drain<'_, TraceEvent> {
         let closed = std::mem::take(&mut self.tick_start);
         self.events.drain(..closed)
     }
 
-    /// Closes the open tick: stamps its events with the tick index and
-    /// the per-core end-of-tick clocks supplied by `clock`.
-    pub(crate) fn end_tick(&mut self, clock: impl Fn(u32) -> u64) {
-        if self.tick_start < self.events.len() {
-            for ev in &mut self.events[self.tick_start..] {
-                ev.tick = self.cur_tick;
-                ev.cycle = clock(ev.core);
-            }
-            self.tick_start = self.events.len();
+    /// Closes the open tick, if any, and opens the next. Out of line:
+    /// inlined through `Machine::step`, its loop cost the kernel's
+    /// untraced burst loop a register.
+    #[inline(never)]
+    pub(crate) fn open_tick(&mut self, cores: &[Core]) {
+        if self.steps > 0 {
+            self.close_tick(cores);
         }
-        self.cur_tick += 1;
+        self.steps += 1;
+    }
+
+    /// Closes the open tick: stamps its events with its index and the clocks of `cores`.
+    pub(crate) fn close_tick(&mut self, cores: &[Core]) {
+        let tick = self.steps.saturating_sub(1);
+        for ev in &mut self.events[self.tick_start..] {
+            ev.tick = tick;
+            ev.cycle = cores[ev.core as usize].cycles();
+        }
+        self.tick_start = self.events.len();
     }
 }

@@ -83,13 +83,12 @@ impl Default for Limits {
     }
 }
 
-/// A pacing fence for the `run_until_*` loops: caps how far a
-/// dispatch burst may advance a core's clock so the outer loop
-/// observes the machine at exactly the same tick boundary a
-/// single-step schedule would have paused on.
+/// Where a run pauses: [`Fence::cap`] ends a burst at the step where
+/// [`Fence::reached`] first holds, the tick boundary a single-step
+/// schedule would have paused on.
 #[derive(Debug, Clone, Copy)]
 enum Fence {
-    /// No pacing: run freely (plain [`Kernel::run`]).
+    /// No pause: run to the end ([`Kernel::run`]).
     None,
     /// Pause once the given core's clock reaches the cycle
     /// ([`Kernel::run_until_core_cycle`], the injection point).
@@ -97,6 +96,27 @@ enum Fence {
     /// Pause once the machine wall clock reaches the cycle
     /// ([`Kernel::run_until_machine_cycle`], checkpoint pacing).
     Wall(u64),
+}
+
+impl Fence {
+    /// True once `machine` stands at or past the fence.
+    fn reached(self, machine: &Machine) -> bool {
+        match self {
+            Fence::None => false,
+            Fence::Core(core, cycle) => machine.core(core).cycles() >= cycle,
+            Fence::Wall(cycle) => machine.max_cycles() >= cycle,
+        }
+    }
+
+    /// The clock at which `core` reaches the fence: the bound of a
+    /// burst that steps it.
+    fn cap(self, core: usize) -> u64 {
+        match self {
+            Fence::Core(c, cycle) if c == core => cycle,
+            Fence::Wall(cycle) => cycle,
+            Fence::Core(..) | Fence::None => u64::MAX,
+        }
+    }
 }
 
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -285,8 +305,8 @@ impl Kernel {
         }
     }
 
-    /// Scheduler ticks executed so far (the quantity [`Limits::max_steps`]
-    /// bounds).
+    /// Steps executed so far over all cores (the quantity
+    /// [`Limits::max_steps`] bounds).
     pub fn steps(&self) -> u64 {
         self.state.steps
     }
@@ -304,14 +324,8 @@ impl Kernel {
     /// Runs until every process exits, a trap ends the run, deadlock, or
     /// a watchdog fires. Idempotent once finished.
     pub fn run(&mut self, limits: &Limits) -> RunOutcome {
-        loop {
-            if let Some(done) = self.state.finished {
-                return done;
-            }
-            if let Some(done) = self.tick(limits, Fence::None) {
-                return done;
-            }
-        }
+        self.run_to(Fence::None, limits)
+            .expect("an unfenced run ends")
     }
 
     /// Runs until `core`'s local clock reaches `cycle` (returns `None`,
@@ -324,17 +338,7 @@ impl Kernel {
         cycle: u64,
         limits: &Limits,
     ) -> Option<RunOutcome> {
-        loop {
-            if let Some(done) = self.state.finished {
-                return Some(done);
-            }
-            if self.machine.core(core).cycles() >= cycle {
-                return None;
-            }
-            if let Some(done) = self.tick(limits, Fence::Core(core, cycle)) {
-                return Some(done);
-            }
-        }
+        self.run_to(Fence::Core(core, cycle), limits)
     }
 
     /// Runs until the machine wall-clock ([`Machine::max_cycles`])
@@ -342,14 +346,20 @@ impl Kernel {
     /// run ends first (returns the outcome). This is the checkpoint
     /// capturer's pacing loop.
     pub fn run_until_machine_cycle(&mut self, cycle: u64, limits: &Limits) -> Option<RunOutcome> {
+        self.run_to(Fence::Wall(cycle), limits)
+    }
+
+    /// The run loop: ticks until the run ends (returns the outcome) or
+    /// the machine reaches `fence` at a tick boundary (returns `None`).
+    fn run_to(&mut self, fence: Fence, limits: &Limits) -> Option<RunOutcome> {
         loop {
             if let Some(done) = self.state.finished {
                 return Some(done);
             }
-            if self.machine.max_cycles() >= cycle {
+            if fence.reached(&self.machine) {
                 return None;
             }
-            if let Some(done) = self.tick(limits, Fence::Wall(cycle)) {
+            if let Some(done) = self.tick(limits, fence) {
                 return Some(done);
             }
         }
@@ -418,17 +428,8 @@ impl Kernel {
         self.state == snap.state && self.machine.state_matches_within(&snap.machine, touched)
     }
 
-    /// Executes one scheduling step; `Some` when the run ended.
+    /// Runs one burst and handles its last step; `Some` when the run ended.
     fn tick(&mut self, limits: &Limits, fence: Fence) -> Option<RunOutcome> {
-        let done = self.tick_inner(limits, fence);
-        // Close the trace tick *after* every kernel-side cost of this
-        // step landed on the core clocks, so traced events carry the
-        // same boundary values `run_until_core_cycle` pauses on.
-        self.machine.trace_tick_end();
-        done
-    }
-
-    fn tick_inner(&mut self, limits: &Limits, fence: Fence) -> Option<RunOutcome> {
         if self.machine.max_cycles() >= limits.max_cycles {
             return Some(self.finish(RunOutcome::CycleLimit));
         }
@@ -443,21 +444,16 @@ impl Kernel {
         // end the burst), tripping the cycle watchdog, or crossing a
         // pacing fence. Below every cap each skipped kernel visit is a
         // no-op, so an n-step burst is state-identical to n single-step
-        // ticks.
+        // ticks, and a traced one records the same events.
         let state = &self.state;
         let burst = self
             .machine
             .run_burst(limits.max_steps - state.steps, |core| {
                 let tid = state.core_thread[core].expect("running core must host a thread");
                 let pid = state.threads[tid as usize].pid;
-                let mut cap = limits.max_cycles;
+                let mut cap = limits.max_cycles.min(fence.cap(core));
                 if !state.ready.is_empty() {
                     cap = cap.min(state.dispatched_at[core].saturating_add(state.spec.quantum));
-                }
-                match fence {
-                    Fence::Core(c, f) if c == core => cap = cap.min(f),
-                    Fence::Wall(f) => cap = cap.min(f),
-                    Fence::Core(..) | Fence::None => {}
                 }
                 (&state.procs[pid as usize].perm, cap)
             });

@@ -15,8 +15,8 @@
 //! * every core's clock and retired-instruction count plus
 //!   [`Kernel::steps`] at a series of `run_until_machine_cycle` and
 //!   `run_until_core_cycle` pause points;
-//! * every event of the golden trace, which steps one instruction per
-//!   kernel tick.
+//! * every event of the golden trace, one instruction per trace tick,
+//!   which traced bursts must record exactly as one-step bursts would.
 
 use fracas::cpu::TraceKind;
 use fracas::inject::{golden_run_with_checkpoints, golden_trace};
